@@ -8,8 +8,8 @@
 // Table 2 — S-Profile ApplyBatch vs looped Apply across batch sizes, on the
 // paper's stream 1 and on an adversarial self-cancelling stream (alternating
 // add/remove of one hot id — a like/unlike storm). Looped cost is flat in
-// batch size; the coalescing path approaches zero structural updates as
-// cancellation grows.
+// batch size; ApplyBatch skips adjacent inverse pairs, so it approaches
+// zero structural updates on the storm.
 
 #include <cstdint>
 #include <string>
@@ -131,8 +131,8 @@ void BatchSweepTable(const Sizes& sizes) {
 }
 
 // Like/unlike storm: every batch is `batch` alternating add/remove events
-// on one hot id, so the net delta is 0 or ±1 — the best case coalescing is
-// built for, the worst case for per-event replay of a huge tie block.
+// on one hot id — every add/remove is an adjacent inverse pair that
+// ApplyBatch skips, the worst case for per-event replay of a huge tie block.
 void CancellationTable(const Sizes& sizes) {
   const uint64_t n = sizes.n;
   TablePrinter table({"batch", "looped_secs", "applybatch_secs", "speedup"});
@@ -167,7 +167,7 @@ void CancellationTable(const Sizes& sizes) {
     EmitJsonLine("bench_api_batch", "applybatch_s", batch_secs,
                  {{"table", "storm"}, {"batch", std::to_string(batch)}});
   }
-  std::printf("## self-cancelling storm: looped vs coalesced (m=%u, "
+  std::printf("## self-cancelling storm: looped vs ApplyBatch (m=%u, "
               "n=%llu)\n\n",
               sizes.m, static_cast<unsigned long long>(n));
   std::printf("%s\n", table.ToString().c_str());

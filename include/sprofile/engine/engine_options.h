@@ -119,13 +119,10 @@ struct EngineOptions {
   /// Memory placement for pinned workers (see NumaPolicy).
   NumaPolicy numa_policy = NumaPolicy::kNone;
 
-  /// Minimum drained-batch size before a shard's backend reorders the
-  /// batch for block locality (the radix partition / rank sort in
-  /// FrequencyProfile::ApplyBatch). Below the threshold the batch is
-  /// replayed in arrival order — small batches cannot amortize the extra
-  /// partition passes. Must be in [1, queue_capacity]: a batch can never
-  /// exceed the ring, so a larger value could silently never trigger.
-  /// Ignored by backends without a SetBatchSortThreshold hook.
+  /// Has no effect: shard backends replay every drained batch in arrival
+  /// order (FrequencyProfile::ApplyBatch). Kept, with its
+  /// [1, queue_capacity] range check, so existing configurations still
+  /// validate and build.
   uint32_t batch_sort_threshold = 256;
 
   /// Producer behavior on a persistently full shard ring (see

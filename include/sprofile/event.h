@@ -2,9 +2,9 @@
 //
 // One event carries a signed frequency delta for one object; the ±1 stream
 // tuples of the paper map to delta = +1 (add) / -1 (remove), and a batch of
-// events is what ApplyBatch() coalesces per id before touching the profile's
-// block structure. This header is a leaf: the core library includes it, so
-// it must not include anything beyond the standard library.
+// events is what ApplyBatch() replays in arrival order. This header is a
+// leaf: the core library includes it, so it must not include anything
+// beyond the standard library.
 
 #ifndef SPROFILE_SPROFILE_EVENT_H_
 #define SPROFILE_SPROFILE_EVENT_H_

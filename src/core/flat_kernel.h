@@ -1,6 +1,6 @@
-// flat_kernel.h — runtime-dispatched memory-level-parallelism support for
-// the exclusive-epoch flat update path (ISSUE 9; docs/ENGINE.md
-// "vectorized kernel & batch pipeline").
+// flat_kernel.h — scalar prefetch staging for the exclusive-epoch flat
+// update path (FrequencyProfile::ApplyBatch; docs/ENGINE.md "batch
+// replay").
 //
 // The S-Profile update is O(1) instructions but THREE dependent loads deep:
 //
@@ -9,131 +9,29 @@
 //
 // and the Algorithm-1 steps of consecutive updates CONFLICT through the
 // shared block partition (update k can move the very block update k+1 is
-// about to touch), so the execution itself cannot be lane-parallelized
-// without speculation. What CAN run ahead is the memory: this header
-// implements a staged gather + software-prefetch pipeline that walks the
-// coalesced batch a few groups ahead of the scalar execution, issuing
-// AVX2/AVX-512 gathers to resolve the dependent indices and prefetching
-// the lines the kernel is about to need. 8 (AVX2) or 16 (AVX-512)
-// independent update chains are in flight per stage; execution stays
-// serial, in order, and bit-identical to the scalar tier.
-//
-// Correctness model (why stale gathers are safe):
-//   - Stage results are used ONLY as prefetch addresses. Execution
-//     re-reads everything through the profile's own ops; a stale staged
-//     index costs a useless prefetch, never a wrong answer.
-//   - Every gathered index is clamped into its array before use as a
-//     downstream gather index (ranks -> [0, m), handles -> [0, #blocks at
-//     batch start)), so even a torn/stale value keeps every gather READ
-//     inside live allocations. The pipeline additionally disables itself
-//     when an index could overflow a signed 32-bit gather lane
-//     (m >= 2^30 or #blocks >= 2^30).
-//   - The flat bases stay valid for the whole batch: the rank arrays
-//     cannot grow mid-batch, and a block-pool growth that degrades the
-//     flat epoch leaves old handles readable at the old base
-//     (block_set.h). The caller stops stepping the pipeline as soon as
-//     the flat epoch degrades anyway.
+// about to touch), so execution stays serial and in order. What CAN run
+// ahead is the memory: the helpers below walk the batch a few events
+// ahead of execution and prefetch the lines each link of the chain needs.
 //
 // Layout contract (static_asserted at the point of use,
 // frequency_profile.cc — this header deliberately does not include the
-// core headers so the splint intrinsics-confinement rule can hold the
-// boundary): slots is an 8-byte-stride array {uint32 id, uint32 block}
+// core headers): slots is an 8-byte-stride array {uint32 id, uint32 block}
 // with the block handle at byte offset 4; blocks is a 16-byte-stride
 // array {uint32 l, uint32 r, int64 f}.
-//
-// This is the ONLY file in the repository allowed to include
-// <immintrin.h> or spell _mm* intrinsics (tools/lint/splint.py,
-// intrinsics-confinement).
 
 #ifndef SPROFILE_CORE_FLAT_KERNEL_H_
 #define SPROFILE_CORE_FLAT_KERNEL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(SPROFILE_FORCE_SCALAR_KERNEL)
-#define SPROFILE_X86_KERNEL_DISPATCH 1
-#include <immintrin.h>
-#else
-// Non-x86 targets, unknown compilers, and -DSPROFILE_FORCE_SCALAR_KERNEL
-// builds: detection reports kScalar, the pipeline disables itself, and
-// ApplyBatch replays exactly the seed loop.
-#define SPROFILE_X86_KERNEL_DISPATCH 0
-#endif
-
 namespace sprofile {
 namespace simd {
 
-/// The dispatch tiers, ordered: a CPU that supports tier t supports every
-/// tier below it. kScalar is the seed replay loop — no staging at all.
-enum class KernelTier : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-
-inline const char* KernelTierName(KernelTier t) {
-  switch (t) {
-    case KernelTier::kAvx2:
-      return "avx2";
-    case KernelTier::kAvx512:
-      return "avx512";
-    default:
-      return "scalar";
-  }
-}
-
-/// The highest tier this CPU (and build) supports. Resolved once.
-inline KernelTier DetectKernelTier() {
-#if SPROFILE_X86_KERNEL_DISPATCH
-  static const KernelTier detected = [] {
-    if (__builtin_cpu_supports("avx512f")) return KernelTier::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return KernelTier::kAvx2;
-    return KernelTier::kScalar;
-  }();
-  return detected;
-#else
-  return KernelTier::kScalar;
-#endif
-}
-
-namespace internal {
-/// Process-wide tier override; 0xff = none. Relaxed is enough: the tier
-/// only selects between observationally identical replay strategies, so
-/// a racing reader using the previous tier for one more batch is fine.
-inline std::atomic<uint8_t>& TierOverride() {
-  static std::atomic<uint8_t> slot{0xff};
-  return slot;
-}
-}  // namespace internal
-
-/// The tier batches actually run at: the override when set (bench A/B,
-/// parity tests, forced-scalar CI leg), detection otherwise.
-inline KernelTier ActiveKernelTier() {
-  const uint8_t o = internal::TierOverride().load(std::memory_order_relaxed);
-  if (o != 0xff) return static_cast<KernelTier>(o);
-  return DetectKernelTier();
-}
-
-/// Forces a tier for the whole process, clamped to what the CPU supports;
-/// returns the tier actually installed. Thread-safe, takes effect from
-/// the next batch.
-inline KernelTier SetKernelTier(KernelTier t) {
-  if (static_cast<uint8_t>(t) > static_cast<uint8_t>(DetectKernelTier())) {
-    t = DetectKernelTier();
-  }
-  internal::TierOverride().store(static_cast<uint8_t>(t),
-                                 std::memory_order_relaxed);
-  return t;
-}
-
-/// Back to hardware detection.
-inline void ClearKernelTierOverride() {
-  internal::TierOverride().store(0xff, std::memory_order_relaxed);
-}
-
 /// Non-faulting L1 prefetch hint. Safe on any address, including ones
 /// computed from stale staged values — a wrong address is a wasted hint,
-/// never a fault (the whole correctness model of the staging layer).
+/// never a fault.
 inline void PrefetchT0(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, 0, 3);
@@ -142,11 +40,14 @@ inline void PrefetchT0(const void* p) {
 #endif
 }
 
-/// Lean four-stage scalar lookahead: the software-pipelined staging that
-/// actually pays on this structure, measured against both no staging and
-/// the gather-based BatchPrefetcher below. Per executed update it walks
-/// the whole dependent-load chain of Algorithm 1 at four staggered
-/// distances ahead of execution, issuing one prefetch per level:
+/// Minimum batch size for ApplyBatch's up-front warm pass (one slot-line
+/// prefetch per event): below this the extra sweep costs more than the
+/// chain misses it hides.
+inline constexpr size_t kWarmMinBatch = 256;
+
+/// Four-stage scalar lookahead. Per executed update it walks the whole
+/// dependent-load chain of Algorithm 1 at four staggered distances ahead
+/// of execution, issuing one prefetch per level:
 ///
 ///   A (i+24)  prefetch &f_to_t[id]
 ///   B (i+16)  load rank, prefetch &slots[rank]
@@ -164,7 +65,7 @@ inline void PrefetchT0(const void* p) {
 /// or as indices that are in-bounds by structural invariant: a rank is
 /// always < m and a handle stored in a live slot is always < the pool's
 /// slot capacity, stale or not. Callers guard i + kLookaheadMax < n and
-/// the flat epoch.
+/// the flat epoch, and pass the epoch's current bases.
 inline constexpr size_t kLookaheadA = 24;
 inline constexpr size_t kLookaheadB = 16;
 inline constexpr size_t kLookaheadC = 8;
@@ -198,416 +99,6 @@ inline void StageLookahead(const uint32_t* f_to_t, const void* slots,
   PrefetchT0(slot_base + size_t{edges[0]} * 8);
   PrefetchT0(slot_base + size_t{edges[1]} * 8);
 }
-
-/// Pass 1 of the locality partition (FrequencyProfile::ReplayDirect):
-/// resolves rank = f_to_t[id] for an 8-byte-stride event stream (Event is
-/// {uint32 id, int32 delta}, id at byte offset 0). Unlike the staging
-/// helpers above these reads are NOT stale-tolerant hints — the pass runs
-/// before any update of the batch executes, so the gathered ranks are
-/// exact. They are consumed only as bucket indexes (rank >> shift); the
-/// id < m contract ApplyBatch already holds keeps every gather in-bounds.
-/// This is where the AVX2/AVX-512 gathers genuinely pay: the pass is pure
-/// independent random reads, so 8/16 loads fly per instruction with no
-/// dependent chain to wait on.
-inline void GatherEventRanksScalar(const void* events, size_t n,
-                                   const uint32_t* f_to_t, uint32_t* out) {
-  const char* base = static_cast<const char*>(events);
-  for (size_t j = 0; j < n; ++j) {
-    uint32_t id;
-    std::memcpy(&id, base + j * 8, sizeof(id));
-    out[j] = f_to_t[id];
-  }
-}
-
-#if SPROFILE_X86_KERNEL_DISPATCH
-__attribute__((target("avx2"))) inline void GatherEventRanksAvx2(
-    const void* events, size_t n, const uint32_t* f_to_t, uint32_t* out) {
-  // Dword indexes 0,2,4,... pick the id field out of each 8-byte event.
-  const __m256i idx = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
-  const int* base = static_cast<const int*>(events);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i vids = _mm256_i32gather_epi32(base + j * 2, idx, 4);
-    const __m256i vr =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(f_to_t), vids, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j), vr);
-  }
-  GatherEventRanksScalar(static_cast<const char*>(events) + j * 8, n - j,
-                         f_to_t, out + j);
-}
-
-// GCC's unmasked AVX-512 intrinsics expand through
-// _mm512_undefined_epi32() and trip -Werror=uninitialized inside
-// avx512fintrin.h (GCC PR105593); the gathers below use an explicit
-// zeroed source + full mask, and the pragmas cover the helpers that
-// still route through the undefined-source idiom internally.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-__attribute__((target("avx512f"))) inline void GatherEventRanksAvx512(
-    const void* events, size_t n, const uint32_t* f_to_t, uint32_t* out) {
-  const __m512i idx = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
-                                        20, 22, 24, 26, 28, 30);
-  const int* base = static_cast<const int*>(events);
-  size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m512i vids = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), static_cast<__mmask16>(0xffff), idx,
-        base + j * 2, 4);
-    const __m512i vr = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), static_cast<__mmask16>(0xffff), vids, f_to_t,
-        4);
-    _mm512_storeu_si512(out + j, vr);
-  }
-  GatherEventRanksScalar(static_cast<const char*>(events) + j * 8, n - j,
-                         f_to_t, out + j);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif  // SPROFILE_X86_KERNEL_DISPATCH
-
-/// Tier-dispatched pass-1 rank resolve; the scalar tier (or a non-x86
-/// build) runs the plain loop.
-inline void GatherEventRanks(const void* events, size_t n,
-                             const uint32_t* f_to_t, uint32_t* out,
-                             KernelTier tier) {
-#if SPROFILE_X86_KERNEL_DISPATCH
-  if (tier == KernelTier::kAvx512) {
-    GatherEventRanksAvx512(events, n, f_to_t, out);
-    return;
-  }
-  if (tier == KernelTier::kAvx2) {
-    GatherEventRanksAvx2(events, n, f_to_t, out);
-    return;
-  }
-#else
-  (void)tier;
-#endif
-  GatherEventRanksScalar(events, n, f_to_t, out);
-}
-
-/// Minimum batch size for the up-front rank-gather warm pass: below this
-/// the two extra sweeps cost more than the chain misses they hide.
-inline constexpr size_t kWarmMinBatch = 256;
-
-/// Gather lane width of a tier (1 for scalar): the unit the lane
-/// utilization counters are reported in.
-inline size_t GatherLanes(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kAvx512: return 16;
-    case KernelTier::kAvx2: return 8;
-    case KernelTier::kScalar: return 1;
-  }
-  return 1;
-}
-
-/// The staged prefetch pipeline over one coalesced batch.
-///
-/// Groups of group() ids move through four stages, each kStageGap steps
-/// apart, so the lines an update needs were prefetched 2–8 group-times
-/// before execution reaches it:
-///
-///   step t:  A(t)             prefetch &f_to_t[id]          (id stream)
-///            B(t - gap)       gather ranks, prefetch &slots[rank]
-///            C(t - 2*gap)     gather handles, prefetch &blocks[h]
-///            D(t - 3*gap)     gather block {l,r}, prefetch edge slots
-///            execute(t - 4*gap) — by the caller, scalar Algorithm 1
-///
-/// Usage (see FrequencyProfile::ApplyBatch):
-///
-///   BatchPrefetcher pf(ids, n, f_to_t, slots, blocks, m, nblocks, tier);
-///   for (size_t t = 0; t < pf.num_steps() + pf.lead(); ++t) {
-///     if (still_flat) pf.Step(t);
-///     if (t >= pf.lead()) execute group t - pf.lead();
-///   }
-///
-/// Partial tail groups are staged with scalar loads so utilization
-/// accounting stays honest; a disabled pipeline (scalar tier, tiny batch,
-/// or out-of-range geometry) makes Step a no-op and enabled() false.
-class BatchPrefetcher {
- public:
-  static constexpr size_t kMaxGroup = 16;   // AVX-512 lanes
-  static constexpr size_t kStageGap = 2;    // steps between stages
-  static constexpr size_t kLead = 4 * kStageGap;
-  static constexpr size_t kRing = kLead;    // staged groups in flight
-
-  BatchPrefetcher(const uint32_t* ids, size_t num_ids, const uint32_t* f_to_t,
-                  const void* slots, const void* blocks, uint32_t num_ranks,
-                  size_t num_blocks, KernelTier tier)
-      : ids_(ids),
-        num_ids_(num_ids),
-        f_to_t_(f_to_t),
-        slots_(static_cast<const char*>(slots)),
-        blocks_(static_cast<const char*>(blocks)),
-        tier_(tier) {
-    group_ = tier == KernelTier::kAvx512 ? 16 : 8;
-    // Gather lanes hold signed 32-bit indices (and stage D scales handles
-    // by 2): geometry past these bounds falls back to the plain loop.
-    enabled_ = SPROFILE_X86_KERNEL_DISPATCH != 0 &&
-               tier != KernelTier::kScalar && num_ranks > 0 &&
-               num_blocks > 0 && num_ids >= group_ &&
-               num_ranks < (1u << 30) && num_blocks < (size_t{1} << 30);
-    max_rank_ = num_ranks == 0 ? 0 : num_ranks - 1;
-    max_block_ = num_blocks == 0 ? 0 : static_cast<uint32_t>(num_blocks - 1);
-  }
-
-  bool enabled() const { return enabled_; }
-  size_t group() const { return group_; }
-  size_t lead() const { return kLead; }
-  size_t num_steps() const { return (num_ids_ + group_ - 1) / group_; }
-
-  /// Runs every stage due at step t (bounds-checked per stage). Call with
-  /// t = 0 .. num_steps() + lead() - 1; stop calling (harmlessly) if the
-  /// flat epoch degrades mid-batch.
-  void Step(size_t t) {
-    if (!enabled_) return;
-    StageA(t);
-    if (t >= kStageGap) StageB(t - kStageGap);
-    if (t >= 2 * kStageGap) StageC(t - 2 * kStageGap);
-    if (t >= 3 * kStageGap) StageD(t - 3 * kStageGap);
-  }
-
- private:
-  struct GroupScratch {
-    uint32_t ranks[kMaxGroup];
-    uint32_t handles[kMaxGroup];
-  };
-
-  static void Prefetch(const void* p) {
-#if SPROFILE_X86_KERNEL_DISPATCH
-    _mm_prefetch(static_cast<const char*>(p), _MM_HINT_T0);
-#else
-    __builtin_prefetch(p);
-#endif
-  }
-
-  /// ids/count of group g, or count 0 when g is out of range.
-  size_t GroupSpan(size_t g, const uint32_t** out_ids) const {
-    if (g >= num_steps()) return 0;
-    const size_t begin = g * group_;
-    *out_ids = ids_ + begin;
-    const size_t left = num_ids_ - begin;
-    return left < group_ ? left : group_;
-  }
-
-  // --- stage A: warm the f_to_t lines for group g ------------------------
-  void StageA(size_t g) {
-    const uint32_t* ids;
-    const size_t n = GroupSpan(g, &ids);
-    for (size_t k = 0; k < n; ++k) Prefetch(f_to_t_ + ids[k]);
-  }
-
-  // --- stage B: ranks = f_to_t[ids]; warm &slots[rank] -------------------
-  void StageB(size_t g) {
-    const uint32_t* ids;
-    const size_t n = GroupSpan(g, &ids);
-    if (n == 0) return;
-    uint32_t* ranks = ring_[g % kRing].ranks;
-#if SPROFILE_X86_KERNEL_DISPATCH
-    if (n == group_) {
-      if (tier_ == KernelTier::kAvx512) {
-        StageBAvx512(ids, ranks);
-      } else {
-        StageBAvx2(ids, ranks);
-        if (group_ == 16) StageBAvx2(ids + 8, ranks + 8);
-      }
-      PrefetchSlots(ranks, n);
-      return;
-    }
-#endif
-    for (size_t k = 0; k < n; ++k) {
-      uint32_t r = f_to_t_[ids[k]];
-      if (r > max_rank_) r = max_rank_;
-      ranks[k] = r;
-    }
-    PrefetchSlots(ranks, n);
-  }
-
-  void PrefetchSlots(const uint32_t* ranks, size_t n) const {
-    for (size_t k = 0; k < n; ++k) {
-      Prefetch(slots_ + size_t{ranks[k]} * kSlotStride);
-    }
-  }
-
-  // --- stage C: handles = slots[rank].block; warm &blocks[h] -------------
-  void StageC(size_t g) {
-    const uint32_t* ids;
-    const size_t n = GroupSpan(g, &ids);
-    if (n == 0) return;
-    GroupScratch& s = ring_[g % kRing];
-#if SPROFILE_X86_KERNEL_DISPATCH
-    if (n == group_) {
-      if (tier_ == KernelTier::kAvx512) {
-        StageCAvx512(s.ranks, s.handles);
-      } else {
-        StageCAvx2(s.ranks, s.handles);
-        if (group_ == 16) StageCAvx2(s.ranks + 8, s.handles + 8);
-      }
-      PrefetchBlocks(s.handles, n);
-      return;
-    }
-#endif
-    for (size_t k = 0; k < n; ++k) {
-      uint32_t h;
-      std::memcpy(&h, slots_ + size_t{s.ranks[k]} * kSlotStride +
-                          kSlotBlockOffset,
-                  sizeof(h));
-      if (h > max_block_) h = max_block_;
-      s.handles[k] = h;
-    }
-    PrefetchBlocks(s.handles, n);
-  }
-
-  void PrefetchBlocks(const uint32_t* handles, size_t n) const {
-    for (size_t k = 0; k < n; ++k) {
-      Prefetch(blocks_ + size_t{handles[k]} * kBlockStride);
-    }
-  }
-
-  // --- stage D: {l,r} = blocks[h]; warm the edge slot lines --------------
-  void StageD(size_t g) {
-    const uint32_t* ids;
-    const size_t n = GroupSpan(g, &ids);
-    if (n == 0) return;
-    const GroupScratch& s = ring_[g % kRing];
-    uint64_t lr[kMaxGroup];
-#if SPROFILE_X86_KERNEL_DISPATCH
-    if (n == group_) {
-      if (tier_ == KernelTier::kAvx512) {
-        StageDAvx512(s.handles, lr);
-      } else {
-        StageDAvx2(s.handles, lr);
-        if (group_ == 16) StageDAvx2(s.handles + 8, lr + 8);
-      }
-      PrefetchEdges(lr, n);
-      return;
-    }
-#endif
-    for (size_t k = 0; k < n; ++k) {
-      std::memcpy(&lr[k], blocks_ + size_t{s.handles[k]} * kBlockStride,
-                  sizeof(lr[k]));
-    }
-    PrefetchEdges(lr, n);
-  }
-
-  void PrefetchEdges(const uint64_t* lr, size_t n) const {
-    for (size_t k = 0; k < n; ++k) {
-      uint32_t l = static_cast<uint32_t>(lr[k]);
-      uint32_t r = static_cast<uint32_t>(lr[k] >> 32);
-      if (l > max_rank_) l = max_rank_;
-      if (r > max_rank_) r = max_rank_;
-      Prefetch(slots_ + size_t{l} * kSlotStride);
-      Prefetch(slots_ + size_t{r} * kSlotStride);
-    }
-  }
-
-#if SPROFILE_X86_KERNEL_DISPATCH
-  __attribute__((target("avx2"))) void StageBAvx2(const uint32_t* ids,
-                                                  uint32_t* ranks) const {
-    const __m256i vids =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids));
-    __m256i vr = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(f_to_t_), vids, 4);
-    vr = _mm256_min_epu32(vr, _mm256_set1_epi32(static_cast<int>(max_rank_)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ranks), vr);
-  }
-
-  __attribute__((target("avx2"))) void StageCAvx2(const uint32_t* ranks,
-                                                  uint32_t* handles) const {
-    const __m256i vr =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks));
-    // One gather resolves slots[rank].block for 8 lanes: base is offset to
-    // the handle field, scale 8 is the RankSlot stride.
-    __m256i vh = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(slots_ + kSlotBlockOffset), vr, 8);
-    vh = _mm256_min_epu32(vh, _mm256_set1_epi32(static_cast<int>(max_block_)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(handles), vh);
-  }
-
-  __attribute__((target("avx2"))) void StageDAvx2(const uint32_t* handles,
-                                                  uint64_t* lr) const {
-    const __m256i vh =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(handles));
-    // Byte offset needed is h*16; max gather scale is 8, so index = h*2
-    // (handles are < 2^30, see enabled_, so the shift cannot overflow a
-    // signed lane).
-    const __m256i vidx = _mm256_slli_epi32(vh, 1);
-    const auto* base = reinterpret_cast<const long long*>(blocks_);
-    const __m256i lr_lo =
-        _mm256_i32gather_epi64(base, _mm256_castsi256_si128(vidx), 8);
-    const __m256i lr_hi =
-        _mm256_i32gather_epi64(base, _mm256_extracti128_si256(vidx, 1), 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lr), lr_lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lr + 4), lr_hi);
-  }
-
-  // GCC's AVX-512 headers expand many plain intrinsics (slli, min,
-  // extract, unmasked gathers) through _mm512_undefined_epi32(), which
-  // GCC 12 flags under -Werror=uninitialized (PR105593). The undefined
-  // lanes are immediately overwritten by the builtin; suppress the
-  // false positive for exactly these three functions. The gathers use
-  // the masked forms with an explicit zero source anyway.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-  __attribute__((target("avx512f"))) void StageBAvx512(const uint32_t* ids,
-                                                       uint32_t* ranks) const {
-    const __m512i vids = _mm512_loadu_si512(ids);
-    __m512i vr = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), static_cast<__mmask16>(-1), vids, f_to_t_, 4);
-    vr = _mm512_min_epu32(vr, _mm512_set1_epi32(static_cast<int>(max_rank_)));
-    _mm512_storeu_si512(ranks, vr);
-  }
-
-  __attribute__((target("avx512f"))) void StageCAvx512(
-      const uint32_t* ranks, uint32_t* handles) const {
-    const __m512i vr = _mm512_loadu_si512(ranks);
-    __m512i vh = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), static_cast<__mmask16>(-1), vr,
-        slots_ + kSlotBlockOffset, 8);
-    vh = _mm512_min_epu32(vh, _mm512_set1_epi32(static_cast<int>(max_block_)));
-    _mm512_storeu_si512(handles, vh);
-  }
-
-  __attribute__((target("avx512f"))) void StageDAvx512(const uint32_t* handles,
-                                                       uint64_t* lr) const {
-    const __m512i vh = _mm512_loadu_si512(handles);
-    const __m512i vidx = _mm512_slli_epi32(vh, 1);
-    const __m512i lr_lo = _mm512_mask_i32gather_epi64(
-        _mm512_setzero_si512(), static_cast<__mmask8>(-1),
-        _mm512_castsi512_si256(vidx), blocks_, 8);
-    const __m512i lr_hi = _mm512_mask_i32gather_epi64(
-        _mm512_setzero_si512(), static_cast<__mmask8>(-1),
-        _mm512_extracti64x4_epi64(vidx, 1), blocks_, 8);
-    _mm512_storeu_si512(lr, lr_lo);
-    _mm512_storeu_si512(lr + 8, lr_hi);
-  }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif  // SPROFILE_X86_KERNEL_DISPATCH
-
-  static constexpr size_t kSlotStride = 8;       // sizeof(RankSlot)
-  static constexpr size_t kSlotBlockOffset = 4;  // offsetof(RankSlot, block)
-  static constexpr size_t kBlockStride = 16;     // sizeof(Block)
-
-  const uint32_t* ids_;
-  size_t num_ids_;
-  const uint32_t* f_to_t_;
-  const char* slots_;
-  const char* blocks_;
-  KernelTier tier_;
-  size_t group_;
-  bool enabled_;
-  uint32_t max_rank_;
-  uint32_t max_block_;
-  GroupScratch ring_[kRing];
-};
 
 }  // namespace simd
 }  // namespace sprofile

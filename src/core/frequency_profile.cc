@@ -1,7 +1,6 @@
 #include "core/frequency_profile.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
@@ -15,17 +14,15 @@
 
 namespace sprofile {
 
-// The prefetch pipeline (core/flat_kernel.h) takes raw byte bases plus
-// compile-time strides instead of the core types, so the intrinsics stay
-// confined to that one header. Pin the layout it assumes.
+// The lookahead (core/flat_kernel.h) takes raw byte bases plus
+// compile-time strides instead of the core types. Pin the layout it
+// assumes.
 static_assert(sizeof(internal::RankSlot) == 8 &&
                   offsetof(internal::RankSlot, block) == 4,
               "flat_kernel.h slot stride/offset out of date");
 static_assert(sizeof(Block) == 16 && offsetof(Block, l) == 0 &&
                   offsetof(Block, r) == 4,
               "flat_kernel.h block stride/layout out of date");
-static_assert(sizeof(Event) == 8 && offsetof(Event, id) == 0,
-              "flat_kernel.h event stride/offset out of date");
 
 cow::PageAllocatorRef ResolveProfileAllocator(cow::PageAllocatorRef alloc,
                                               uint64_t num_objects) {
@@ -168,59 +165,11 @@ bool FrequencyProfile::TryReflatten() {
   return true;
 }
 
-namespace {
-
-// Gates for the batch staging layers, all keyed on how much of the flat
-// working set fits in cache. Measured on an AVX-512 Emerald Rapids core
-// (2 MiB L2): with m = 2^16 the whole f_to_t/slots/blocks set is
-// L2-resident and both the gather pipeline and the locality sort are pure
-// overhead (the sort alone costs ~50 ns/event, the gathers duplicate
-// loads that already hit L2); with m >= 2^19 the slot array alone
-// overflows L2 and staged prefetch starts buying back miss latency.
-constexpr uint32_t kGatherPipelineMinM = 1u << 25;
-constexpr uint32_t kSortLocalityMinM = 1u << 18;
-
-// The direct-replay radix partition pays once a 64-way split of the slot
-// array yields bucket windows near L2/dTLB reach. Measured on the same
-// core: a loss below m = 2^20 (batches are too sparse for any window
-// reuse, the extra passes are pure cost), neutral at m = 2^22, a clear
-// win at m = 2^24 where each window is 2 MiB of a 128 MiB slot array and
-// confining the walk slashes dTLB misses.
-constexpr uint32_t kPartitionMinM = 1u << 23;
-constexpr uint32_t kPartitionBuckets = 64;
-
-// Adaptive coalescing: skip the epoch-stamp netting pass while its EWMA
-// yield (event mass removed, fixed point /256) stays under ~6% — a
-// nearly-unique-id stream pays two random scratch accesses per event for
-// nothing. Every 32nd batch re-probes so bursty phases are rediscovered.
-constexpr uint32_t kCoalesceMinYieldFp = 16;
-constexpr uint32_t kCoalesceProbePeriod = 32;
-
-// Effective gates: the production constants unless the parity suite has
-// lowered them (internal::batch_gate_overrides, test-only).
-uint32_t GatherPipelineMinM() {
-  const uint32_t v = internal::batch_gate_overrides().gather_pipeline_min_m;
-  return v != 0 ? v : kGatherPipelineMinM;
-}
-uint32_t PartitionMinM() {
-  const uint32_t v = internal::batch_gate_overrides().partition_min_m;
-  return v != 0 ? v : kPartitionMinM;
-}
-uint32_t SortLocalityMinM() {
-  const uint32_t v = internal::batch_gate_overrides().sort_locality_min_m;
-  return v != 0 ? v : kSortLocalityMinM;
-}
-
-}  // namespace
-
-namespace internal {
-BatchGateOverrides& batch_gate_overrides() {
-  static BatchGateOverrides overrides;
-  return overrides;
-}
-}  // namespace internal
-
-// Applies the coalesced net delta of one id as repeated O(1) steps.
+// Replays the batch in arrival order through the same Add/Remove kernel
+// the singles path runs, with the flat epoch's prefetch staging ahead of
+// it. Nothing nets or reorders the batch first: per-id netting's m-sized
+// scratch doubled the replay's random-access footprint and lost even on
+// self-cancelling streams (docs/ENGINE.md "batch replay").
 void FrequencyProfile::ApplyBatch(std::span<const Event> events) {
   if (events.empty()) return;
 
@@ -228,354 +177,54 @@ void FrequencyProfile::ApplyBatch(std::span<const Event> events) {
   // here (O(1) while a witness snapshot still pins a page), then the
   // replay loop below dispatches on the cached flag only.
   TryReflatten();
+  const size_t n = events.size();
 
-  // Adaptive coalescing: when recent batches showed nearly-unique ids the
-  // netting pass is pure overhead, so replay the raw events in arrival
-  // order instead (observably identical — coalescing only reorders and
-  // nets, and netting removed nothing). Periodic probes keep measuring.
-  if (coalesce_yield_ewma_ < kCoalesceMinYieldFp &&
-      ++batch_probe_counter_ % kCoalesceProbePeriod != 0) {
-    SPROFILE_METRIC_COUNTER("sprofile_batch_replays", "batches",
-                            "Coalesced batches that reached the replay stage")
-        .Increment();
-    ReplayDirect(events);
-    return;
-  }
-
-  // Lazily (re)size the epoch-stamped scratch; InsertSlot may have grown m_
-  // since the last batch.
-  if (batch_epoch_.size() < m_) {
-    batch_epoch_.resize(m_, 0);
-    batch_delta_.resize(m_, 0);
-  }
-  if (++batch_epoch_counter_ == 0) {
-    // Epoch counter wrapped: stale stamps could collide, so reset them.
-    std::fill(batch_epoch_.begin(), batch_epoch_.end(), 0u);
-    batch_epoch_counter_ = 1;
-  }
-
-  batch_touched_.clear();
-  int64_t gross = 0;  // event mass before netting: Σ |e.delta|
-  for (const Event& e : events) {
-    SPROFILE_DCHECK(e.id < m_);
-    SPROFILE_DCHECK(f_to_t_[e.id] >= frozen_);
-    gross += e.delta < 0 ? -static_cast<int64_t>(e.delta) : e.delta;
-    if (batch_epoch_[e.id] != batch_epoch_counter_) {
-      batch_epoch_[e.id] = batch_epoch_counter_;
-      batch_delta_[e.id] = e.delta;
-      batch_touched_.push_back(e.id);
-    } else {
-      batch_delta_[e.id] += e.delta;
+  // Warm pass: one independent slot-line prefetch per event, so the
+  // first two links of every update's dependent-load chain are in flight
+  // together before execution starts. Small batches cannot hide its cost.
+  if (flat_ready_ && n >= simd::kWarmMinBatch) {
+    for (const Event& e : events) {
+      simd::PrefetchT0(flat_slots_ + flat_f_to_t_[e.id]);
     }
   }
 
-  // Fused count-then-move: the per-id deltas are fully netted before ANY
-  // structural step, so a self-cancelling storm compacts away here — the
-  // block partition never sees it. The cancelled mass is the difference
-  // between what arrived and what survives.
-  size_t live = 0;
-  int64_t net = 0;  // Σ |net delta| over surviving ids
-  for (const uint32_t id : batch_touched_) {
-    const int64_t d = batch_delta_[id];
-    if (d == 0) continue;
-    batch_touched_[live++] = id;
-    net += d < 0 ? -d : d;
-  }
-  batch_touched_.resize(live);
-  // Fold this batch's yield (mass removed / mass arrived, /256) into the
-  // EWMA the adaptive gate above reads. gross > 0 here: events was
-  // non-empty and every event contributes |delta| >= 0 — a gross of 0
-  // means an all-zero-delta batch, which still probes as yield 0.
-  const uint32_t yield_fp =
-      gross > 0 ? static_cast<uint32_t>((gross - net) * 256 / gross) : 0;
-  coalesce_yield_ewma_ = (3 * coalesce_yield_ewma_ + yield_fp) / 4;
-  if (gross > net) {
-    SPROFILE_METRIC_COUNTER("sprofile_batch_cancelled_events", "events",
-                            "Event mass neutralized by per-id netting before "
-                            "any structural work (fused count-then-move)")
-        .Add(static_cast<uint64_t>(gross - net));
-  }
-  if (live == 0) return;
-  SPROFILE_METRIC_COUNTER("sprofile_batch_replays", "batches",
-                          "Coalesced batches that reached the replay stage")
-      .Increment();
-
-  // Locality sort: replay in ascending current-rank order so neighbouring
-  // updates share slot lines and (usually) blocks. This changes which of
-  // the many equivalent rank permutations the structure lands on — never
-  // an observable answer (block membership is order-insensitive, exactly
-  // like the per-id coalescing above). Keys pack (rank, id) into one
-  // uint64 so the sort never chases f_to_t_ from its comparator.
-  if (live >= batch_sort_threshold_ && m_ >= SortLocalityMinM()) {
-    batch_sort_keys_.clear();
-    batch_sort_keys_.reserve(live);
-    for (const uint32_t id : batch_touched_) {
-      batch_sort_keys_.push_back(uint64_t{f_to_t_[id]} << 32 | id);
+  uint64_t cancelled = 0;  // event mass skipped by the adjacent-pair rule
+  for (size_t i = 0; i < n; ++i) {
+    // The bases are re-read every iteration: a block-pool growth can end
+    // the flat epoch mid-batch, and a paged update can re-enter it at new
+    // bases (AddPaged/RemovePaged probe TryReflatten).
+    if (flat_ready_ && i + simd::kLookaheadMax < n) [[likely]] {
+      simd::StageLookahead(flat_f_to_t_, flat_slots_,
+                           pool_.flat_blocks_base(),
+                           events[i + simd::kLookaheadA].id,
+                           events[i + simd::kLookaheadB].id,
+                           events[i + simd::kLookaheadC].id,
+                           events[i + simd::kLookaheadD].id);
     }
-    std::sort(batch_sort_keys_.begin(), batch_sort_keys_.end());
-    for (size_t i = 0; i < live; ++i) {
-      batch_touched_[i] = static_cast<uint32_t>(batch_sort_keys_[i]);
-    }
-    SPROFILE_METRIC_COUNTER("sprofile_batch_sorted", "batches",
-                            "Replays locality-sorted by pre-replay rank "
-                            "(list reached batch_sort_threshold)")
-        .Increment();
-  }
-
-  ReplayBatch();
-}
-
-void FrequencyProfile::ReplayBatch() {
-  const simd::KernelTier tier = simd::ActiveKernelTier();
-  if (flat_ready_ && tier != simd::KernelTier::kScalar &&
-      m_ < GatherPipelineMinM()) {
-    // Cache-resident working set: the lean lookahead (one f_to_t prefetch
-    // + one stale-tolerant rank load per update) is all the staging that
-    // pays here.
-    const uint32_t* ft = flat_f_to_t_;
-    const void* slots = flat_slots_;
-    const void* blocks = pool_.flat_blocks_base();
-    const size_t n = batch_touched_.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (flat_ready_ && i + simd::kLookaheadMax < n) [[likely]] {
-        simd::StageLookahead(ft, slots, blocks,
-                             batch_touched_[i + simd::kLookaheadA],
-                             batch_touched_[i + simd::kLookaheadB],
-                             batch_touched_[i + simd::kLookaheadC],
-                             batch_touched_[i + simd::kLookaheadD]);
-      }
-      const uint32_t id = batch_touched_[i];
-      int64_t delta = batch_delta_[id];
-      for (; delta > 0; --delta) Add(id);
-      for (; delta < 0; ++delta) Remove(id);
-    }
-    return;
-  }
-  if (flat_ready_ && tier != simd::KernelTier::kScalar) {
-    simd::BatchPrefetcher pf(batch_touched_.data(), batch_touched_.size(),
-                             flat_f_to_t_, flat_slots_,
-                             pool_.flat_blocks_base(), m_, pool_.slots(),
-                             tier);
-    if (pf.enabled()) {
-      const size_t group = pf.group();
-      const size_t lead = pf.lead();
-      const size_t steps = pf.num_steps();
-      const size_t n = batch_touched_.size();
-      for (size_t t = 0; t < steps + lead; ++t) {
-        // Stop staging if the flat epoch degrades mid-batch (a block-pool
-        // growth past its run): execution below falls back to the paged
-        // kernel through the Add/Remove wrappers, and the pipeline's
-        // cached bases are only as fresh as the epoch.
-        if (flat_ready_) [[likely]] {
-          pf.Step(t);
-        }
-        if (t < lead) continue;  // pipeline fill: stages run ahead
-        const size_t begin = (t - lead) * group;
-        const size_t end = std::min(begin + group, n);
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t id = batch_touched_[i];
-          int64_t delta = batch_delta_[id];
-          for (; delta > 0; --delta) Add(id);
-          for (; delta < 0; ++delta) Remove(id);
-        }
-      }
-      // Lane utilization for the staged pipeline: filled counts ids that
-      // rode a gather lane, total counts lane slots issued (tail padding
-      // is the gap). Batches that never enter the pipeline count in
-      // neither.
-      SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_filled", "lanes",
-                              "Replay ids staged through gather lanes")
-          .Add(n);
-      SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_total", "lanes",
-                              "Gather lane slots issued by the staged "
-                              "pipeline (incl. tail padding)")
-          .Add(steps * group);
-      return;
-    }
-  }
-  // Scalar tier / paged epoch / pipeline-ineligible batch: the seed
-  // replay loop, byte for byte.
-  for (const uint32_t id : batch_touched_) {
-    int64_t delta = batch_delta_[id];
-    for (; delta > 0; --delta) Add(id);
-    for (; delta < 0; ++delta) Remove(id);
-  }
-}
-
-void FrequencyProfile::ReplayDirect(std::span<const Event> events) {
-  const simd::KernelTier tier = simd::ActiveKernelTier();
-  if (flat_ready_ && tier != simd::KernelTier::kScalar &&
-      m_ >= GatherPipelineMinM()) {
-    // DRAM-scale working set: run the full gather pipeline over the id
-    // stream (batch_touched_ doubles as id scratch — the coalescing pass
-    // that normally owns it was skipped on this path).
-    const size_t n = events.size();
-    batch_touched_.resize(n);
-    for (size_t i = 0; i < n; ++i) batch_touched_[i] = events[i].id;
-    simd::BatchPrefetcher pf(batch_touched_.data(), n, flat_f_to_t_,
-                             flat_slots_, pool_.flat_blocks_base(), m_,
-                             pool_.slots(), tier);
-    if (pf.enabled()) {
-      const size_t group = pf.group();
-      const size_t lead = pf.lead();
-      const size_t steps = pf.num_steps();
-      for (size_t t = 0; t < steps + lead; ++t) {
-        if (flat_ready_) [[likely]] {
-          pf.Step(t);
-        }
-        if (t < lead) continue;
-        const size_t begin = (t - lead) * group;
-        const size_t end = std::min(begin + group, n);
-        for (size_t i = begin; i < end; ++i) {
-          const Event& e = events[i];
-          SPROFILE_DCHECK(e.id < m_);
-          SPROFILE_DCHECK(f_to_t_[e.id] >= frozen_);
-          int64_t delta = e.delta;
-          for (; delta > 0; --delta) Add(e.id);
-          for (; delta < 0; ++delta) Remove(e.id);
-        }
-      }
-      SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_filled", "lanes",
-                              "Replay ids staged through gather lanes")
-          .Add(n);
-      SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_total", "lanes",
-                              "Gather lane slots issued by the staged "
-                              "pipeline (incl. tail padding)")
-          .Add(steps * group);
-      return;
-    }
-  }
-  if (flat_ready_ && tier != simd::KernelTier::kScalar &&
-      m_ >= PartitionMinM() && events.size() >= batch_sort_threshold_) {
-    // Locality partition: a three-pass radix bucket sort by pre-replay
-    // rank window, so execution walks the slot array in 64 ascending
-    // stripes instead of m-wide random hops. Pass 1 resolves every
-    // event's current rank with real AVX2/AVX-512 gathers — correct, not
-    // heuristic, because nothing has mutated yet. Pass 2 stable-scatters
-    // the packed (delta, id) events into bucket order. Pass 3 executes.
-    //
-    // Reordering safety: events with the same id gather the identical
-    // pre-replay rank, land in the same bucket, and the stable scatter
-    // preserves their arrival order — so per-id delta sequences replay
-    // exactly as they arrived (no transient dips below the per-id running
-    // minimum). Cross-id reordering is the same equivalence ApplyBatch's
-    // coalescing pass already relies on: block membership is a function
-    // of multiset state, not arrival interleaving.
-    const size_t n = events.size();
-    batch_touched_.resize(n);
-    simd::GatherEventRanks(events.data(), n, flat_f_to_t_,
-                           batch_touched_.data(), tier);
-    const size_t lanes = simd::GatherLanes(tier);
-    SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_filled", "lanes",
-                            "Replay ids staged through gather lanes")
-        .Add(n);
-    SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_total", "lanes",
-                            "Gather lane slots issued by the staged "
-                            "pipeline (incl. tail padding)")
-        .Add((n + lanes - 1) / lanes * lanes);
-
-    // rank < m_ always, so rank >> shift < kPartitionBuckets.
-    const uint32_t bits = std::bit_width(m_ - 1);
-    const uint32_t shift = bits > 6 ? bits - 6 : 0;
-    uint32_t counts[kPartitionBuckets] = {};
-    batch_bucket_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t b = static_cast<uint8_t>(batch_touched_[i] >> shift);
-      batch_bucket_[i] = b;
-      ++counts[b];
-    }
-    uint32_t cursor[kPartitionBuckets];
-    uint32_t run = 0;
-    for (uint32_t b = 0; b < kPartitionBuckets; ++b) {
-      cursor[b] = run;
-      run += counts[b];
-    }
-    batch_sort_keys_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Event& e = events[i];
-      SPROFILE_DCHECK(e.id < m_);
-      SPROFILE_DCHECK(f_to_t_[e.id] >= frozen_);
-      batch_sort_keys_[cursor[batch_bucket_[i]]++] =
-          uint64_t{static_cast<uint32_t>(e.delta)} << 32 | e.id;
-    }
-    SPROFILE_METRIC_COUNTER("sprofile_batch_sorted", "batches",
-                            "Replays locality-sorted by pre-replay rank "
-                            "(list reached batch_sort_threshold)")
-        .Increment();
-
-    const uint32_t* ft = flat_f_to_t_;
-    const void* slots = flat_slots_;
-    const void* blocks = pool_.flat_blocks_base();
-    for (size_t i = 0; i < n; ++i) {
-      if (flat_ready_ && i + simd::kLookaheadMax < n) [[likely]] {
-        simd::StageLookahead(
-            ft, slots, blocks,
-            static_cast<uint32_t>(batch_sort_keys_[i + simd::kLookaheadA]),
-            static_cast<uint32_t>(batch_sort_keys_[i + simd::kLookaheadB]),
-            static_cast<uint32_t>(batch_sort_keys_[i + simd::kLookaheadC]),
-            static_cast<uint32_t>(batch_sort_keys_[i + simd::kLookaheadD]));
-      }
-      const uint64_t key = batch_sort_keys_[i];
-      const uint32_t id = static_cast<uint32_t>(key);
-      int64_t delta = static_cast<int32_t>(static_cast<uint32_t>(key >> 32));
-      for (; delta > 0; --delta) Add(id);
-      for (; delta < 0; ++delta) Remove(id);
-    }
-    return;
-  }
-  if (flat_ready_ && tier != simd::KernelTier::kScalar) {
-    const uint32_t* ft = flat_f_to_t_;
-    const void* slots = flat_slots_;
-    const void* blocks = pool_.flat_blocks_base();
-    const size_t n = events.size();
-    // Batch-warm pass: resolve every event's rank up front with gathers
-    // (warming the touched f_to_t lines as a side effect) and issue one
-    // slot-line prefetch per event. Unlike the in-loop lookahead below,
-    // this pass has no dependent chain at all — the gathers and prefetches
-    // overlap to the full miss-queue depth, so when the engine's producer
-    // has just evicted the profile from L2 the execution loop finds its
-    // first two chain levels re-warmed. The ~256 KiB the pass touches for
-    // a 2048-event batch cannot self-evict before execution reaches it.
-    if (n >= simd::kWarmMinBatch) {
-      batch_touched_.resize(n);
-      simd::GatherEventRanks(events.data(), n, ft, batch_touched_.data(),
-                             tier);
-      const char* slot_base = static_cast<const char*>(slots);
-      for (size_t i = 0; i < n; ++i) {
-        simd::PrefetchT0(slot_base + size_t{batch_touched_[i]} * 8);
-      }
-      const size_t lanes = simd::GatherLanes(tier);
-      SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_filled", "lanes",
-                              "Replay ids staged through gather lanes")
-          .Add(n);
-      SPROFILE_METRIC_COUNTER("sprofile_kernel_lanes_total", "lanes",
-                              "Gather lane slots issued by the staged "
-                              "pipeline (incl. tail padding)")
-          .Add((n + lanes - 1) / lanes * lanes);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (flat_ready_ && i + simd::kLookaheadMax < n) [[likely]] {
-        simd::StageLookahead(ft, slots, blocks,
-                             events[i + simd::kLookaheadA].id,
-                             events[i + simd::kLookaheadB].id,
-                             events[i + simd::kLookaheadC].id,
-                             events[i + simd::kLookaheadD].id);
-      }
-      const Event& e = events[i];
-      SPROFILE_DCHECK(e.id < m_);
-      SPROFILE_DCHECK(f_to_t_[e.id] >= frozen_);
-      int64_t delta = e.delta;
-      for (; delta > 0; --delta) Add(e.id);
-      for (; delta < 0; ++delta) Remove(e.id);
-    }
-    return;
-  }
-  for (const Event& e : events) {
+    const Event& e = events[i];
     SPROFILE_DCHECK(e.id < m_);
     SPROFILE_DCHECK(f_to_t_[e.id] >= frozen_);
     int64_t delta = e.delta;
+    // An event followed by its exact inverse on the same id nets to zero:
+    // skip both (64-bit negation, so INT32_MIN cannot overflow).
+    if (i + 1 < n && events[i + 1].id == e.id &&
+        int64_t{events[i + 1].delta} == -delta) {
+      cancelled += 2 * static_cast<uint64_t>(delta < 0 ? -delta : delta);
+      ++i;
+      continue;
+    }
     for (; delta > 0; --delta) Add(e.id);
     for (; delta < 0; ++delta) Remove(e.id);
+  }
+
+  SPROFILE_METRIC_COUNTER("sprofile_batch_replays", "batches",
+                          "Non-empty batches replayed by ApplyBatch")
+      .Increment();
+  if (cancelled > 0) {
+    SPROFILE_METRIC_COUNTER("sprofile_batch_cancelled_events", "events",
+                            "Event mass skipped as adjacent inverse pairs "
+                            "(x,+d),(x,-d) before any structural work")
+        .Add(cancelled);
   }
 }
 
@@ -684,12 +333,7 @@ std::vector<int64_t> FrequencyProfile::ToFrequencies() const {
 }
 
 size_t FrequencyProfile::MemoryBytes() const {
-  return f_to_t_.MemoryBytes() + slots_.MemoryBytes() + pool_.MemoryBytes() +
-         batch_epoch_.capacity() * sizeof(uint32_t) +
-         batch_delta_.capacity() * sizeof(int64_t) +
-         batch_touched_.capacity() * sizeof(uint32_t) +
-         batch_sort_keys_.capacity() * sizeof(uint64_t) +
-         batch_bucket_.capacity() * sizeof(uint8_t);
+  return f_to_t_.MemoryBytes() + slots_.MemoryBytes() + pool_.MemoryBytes();
 }
 
 FrequencyEntry FrequencyProfile::PeelMin() {

@@ -67,18 +67,6 @@ struct RankSlot {
 /// The rank array's storage: copy-on-write pages, so Snapshot() is an
 /// O(#pages) pointer grab (core/cow_pages.h).
 using RankSlotArray = cow::PagedArray<RankSlot>;
-
-/// Test-only overrides for the batch staging gates (0 = use the measured
-/// production constant). The kernel parity suite lowers these so the radix
-/// partition and gather-pipeline replay paths — gated on DRAM-scale m in
-/// production — run and get diffed against the scalar kernel at unit-test
-/// scale. Production code never writes these; they are read once per batch.
-struct BatchGateOverrides {
-  uint32_t gather_pipeline_min_m = 0;
-  uint32_t partition_min_m = 0;
-  uint32_t sort_locality_min_m = 0;
-};
-BatchGateOverrides& batch_gate_overrides();
 }  // namespace internal
 
 /// A group of objects tied at one frequency — one block of the profile.
@@ -298,38 +286,21 @@ class FrequencyProfile {
   /// Applies one log-stream tuple (x, c): Add when `is_add`, else Remove.
   void Apply(uint32_t id, bool is_add) { is_add ? Add(id) : Remove(id); }
 
-  /// Applies a batch of events, coalescing per-id deltas first so an
-  /// add/remove pair on the same id inside one batch never touches the
-  /// block structure. O(|batch| + Σ|net delta|) structural steps versus
-  /// O(|batch|) for looped Apply — but the coalescing bookkeeping costs a
-  /// constant factor per event (bench_api_batch measures ~2x on streams
-  /// with no cancellation), so this path wins only when batches contain
-  /// self-cancelling or duplicated ids (like/unlike storms: ~4x there).
-  /// For trusted non-cancelling hot paths, loop Add/Remove. Every event id
-  /// must be in range and unfrozen; deltas of any magnitude are allowed.
-  /// The observable result equals applying the events one by one.
-  ///
-  /// Replay staging (ISSUE 9; docs/ENGINE.md "vectorized kernel & batch
-  /// pipeline"): ids whose net delta is zero are dropped before any
-  /// structural work (the fused count-then-move path); surviving ids are
-  /// locality-sorted by their pre-replay rank when the list reaches
-  /// batch_sort_threshold(); and on the flat epoch with an AVX2/AVX-512
-  /// kernel tier active (core/flat_kernel.h) a staged gather+prefetch
-  /// pipeline runs a few groups ahead of the scalar Algorithm-1 replay.
-  /// None of this changes the observable result — only which equivalent
-  /// rank permutation the structure lands on.
+  /// Applies a batch of events in arrival order: each event runs |delta|
+  /// O(1) Add or Remove steps, exactly like looped Apply, except that an
+  /// event immediately followed by its inverse on the same id ((x, +d)
+  /// then (x, -d)) is skipped together with it, so a like/unlike storm
+  /// never touches the block structure. O(|batch| + Σ|delta|) steps, with
+  /// no per-batch scratch. On the flat epoch a scalar prefetch lookahead
+  /// (core/flat_kernel.h) runs ahead of the replay, which is what makes
+  /// this faster than looping Add/Remove. Every event id must be in range
+  /// and unfrozen; deltas of any magnitude are allowed. The observable
+  /// result equals applying the events one by one.
   void ApplyBatch(std::span<const Event> events);
 
-  /// Minimum coalesced-replay size at which ApplyBatch locality-sorts the
-  /// surviving ids by current rank before replaying. Sorting costs
-  /// O(k log k) on k ids and pays when the batch is large enough that
-  /// rank-neighbouring updates share slot/block cache lines; tiny batches
-  /// replay in first-seen order. The engine plumbs
-  /// EngineOptions::batch_sort_threshold through here per shard.
-  void set_batch_sort_threshold(uint32_t threshold) {
-    batch_sort_threshold_ = threshold;
-  }
-  uint32_t batch_sort_threshold() const { return batch_sort_threshold_; }
+  /// Has no effect: ApplyBatch replays every batch in arrival order. Kept
+  /// so callers that forward EngineOptions::batch_sort_threshold build.
+  void set_batch_sort_threshold(uint32_t /*threshold*/) {}
 
   // ---------------------------------------------------------------------
   // Point queries.
@@ -502,11 +473,10 @@ class FrequencyProfile {
  private:
   using RankSlot = internal::RankSlot;
 
-  /// COW share: O(#pages). Backs Snapshot(); the batch scratch is not
-  /// carried (it is not logical state and copying it would cost O(m)).
-  /// Sharing ends the SOURCE's flat epoch too (its pages are now pinned),
-  /// so its flat_ready_ cache is cleared — the flag is mutable for
-  /// exactly this owner-side bookkeeping.
+  /// COW share: O(#pages). Backs Snapshot(). Sharing ends the SOURCE's
+  /// flat epoch too (its pages are now pinned), so its flat_ready_ cache
+  /// is cleared — the flag is mutable for exactly this owner-side
+  /// bookkeeping.
   FrequencyProfile(const FrequencyProfile& other)
       : m_(other.m_),
         frozen_(other.frozen_),
@@ -609,20 +579,6 @@ class FrequencyProfile {
     return FlatOps{this, flat_f_to_t_, flat_slots_, pool_.flat_blocks_base()};
   }
 
-  /// Replays the coalesced batch (batch_touched_ / batch_delta_) through
-  /// Add/Remove, running the staged gather+prefetch pipeline
-  /// (core/flat_kernel.h) ahead of execution when the flat epoch holds
-  /// and a vector kernel tier is active. Defined in the .cc so the
-  /// intrinsics header stays out of this one.
-  void ReplayBatch();
-
-  /// Replays raw events in arrival order — the path ApplyBatch takes when
-  /// the coalescing EWMA says the stream is not netting (nearly-unique
-  /// ids per batch make the epoch-stamp pass pure overhead). Runs the
-  /// lean scalar lookahead from core/flat_kernel.h when a vector tier is
-  /// active and the flat epoch holds.
-  void ReplayDirect(std::span<const Event> events);
-
   /// Singles-path re-entry throttle: probe TryReflatten every
   /// kReflattenPeriod paged updates (the probe itself is O(1) while a
   /// witness page stays pinned).
@@ -668,23 +624,6 @@ class FrequencyProfile {
   // divergence (CowPageArray::ForceFlat) instead of waiting for pinning
   // snapshots to die.
   uint64_t flat_paged_mark_ = 0;
-
-  // ApplyBatch scratch, epoch-stamped so a batch costs O(|batch|) and no
-  // per-batch O(m) clear. Lazily sized to m on first use.
-  std::vector<uint32_t> batch_epoch_;
-  std::vector<int64_t> batch_delta_;
-  std::vector<uint32_t> batch_touched_;
-  std::vector<uint64_t> batch_sort_keys_;  // (rank << 32 | id) sort scratch
-  std::vector<uint8_t> batch_bucket_;      // per-event radix bucket scratch
-  uint32_t batch_epoch_counter_ = 0;
-  uint32_t batch_sort_threshold_ = 256;
-
-  // Adaptive-coalescing state: EWMA of the event-mass fraction the netting
-  // pass removed (fixed point /256), plus a probe counter so a stream that
-  // turns bursty later is rediscovered. Starts optimistic (256 = "assume
-  // everything nets") so the first batches measure before deciding.
-  uint32_t coalesce_yield_ewma_ = 256;
-  uint32_t batch_probe_counter_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// FrequencyProfile::ApplyBatch — the coalescing batch update path — plus
+// FrequencyProfile::ApplyBatch — the arrival-order batch update path — plus
 // the GroupView staleness trap and the stream->Event wiring.
 
 #include <gtest/gtest.h>
@@ -65,6 +65,54 @@ TEST(ApplyBatchTest, CoalescedBatchDoesMinimalSteps) {
   EXPECT_EQ(p.generation(), before + 3);
   EXPECT_EQ(p.Frequency(2), 2);
   EXPECT_EQ(p.Frequency(4), -1);
+  EXPECT_TRUE(p.Validate().ok());
+}
+
+// Only ADJACENT inverse pairs are skipped: inverse events with another
+// event between them replay step for step, exactly like looped Add/Remove.
+TEST(ApplyBatchTest, NonAdjacentInversesCostTheLoopedSteps) {
+  const std::vector<Event> events = {
+      Event{1, +2}, Event::Add(3), Event{1, -2}, Event::Remove(3),
+      Event::Add(5), Event::Add(6), Event::Remove(5)};
+  FrequencyProfile batched(8);
+  FrequencyProfile looped(8);
+  const uint64_t batched_before = batched.generation();
+  const uint64_t looped_before = looped.generation();
+  batched.ApplyBatch(events);
+  for (const Event& e : events) {
+    for (int32_t d = e.delta; d > 0; --d) looped.Add(e.id);
+    for (int32_t d = e.delta; d < 0; ++d) looped.Remove(e.id);
+  }
+  EXPECT_EQ(looped.generation() - looped_before, 9u);
+  EXPECT_EQ(batched.generation() - batched_before,
+            looped.generation() - looped_before);
+  EXPECT_EQ(batched.ToFrequencies(), looped.ToFrequencies());
+  EXPECT_TRUE(batched.Validate().ok());
+}
+
+// The skip needs the same id AND the exactly negated delta.
+TEST(ApplyBatchTest, AdjacentPairSkipNeedsExactInverse) {
+  FrequencyProfile p(8);
+  uint64_t before = p.generation();
+  p.ApplyBatch(std::vector<Event>{Event{2, +3}, Event{2, -3}});
+  EXPECT_EQ(p.generation(), before);
+  EXPECT_EQ(p.Frequency(2), 0);
+
+  before = p.generation();
+  p.ApplyBatch(std::vector<Event>{Event{2, +3}, Event{2, -2}});
+  EXPECT_EQ(p.generation(), before + 5);
+  EXPECT_EQ(p.Frequency(2), 1);
+
+  before = p.generation();
+  p.ApplyBatch(std::vector<Event>{Event{2, +1}, Event{4, -1}});
+  EXPECT_EQ(p.generation(), before + 2);
+  EXPECT_EQ(p.Frequency(4), -1);
+
+  // Extreme magnitudes pair off without ever stepping.
+  before = p.generation();
+  p.ApplyBatch(std::vector<Event>{Event{6, INT32_MAX}, Event{6, -INT32_MAX}});
+  EXPECT_EQ(p.generation(), before);
+  EXPECT_EQ(p.Frequency(6), 0);
   EXPECT_TRUE(p.Validate().ok());
 }
 #endif  // NDEBUG

@@ -1,33 +1,33 @@
-// Kernel parity property suite (ISSUE 9) — every replay staging path the
-// vectorized flat update kernel adds must answer exactly like the scalar
-// kernel, which in turn must answer exactly like a plain per-id counter
-// oracle, under randomized update/snapshot interleavings.
+// Batch replay parity property suite — FrequencyProfile::ApplyBatch (the
+// arrival-order replay loop with its flat-epoch warm pass, prefetch
+// lookahead and adjacent-pair skip) must answer exactly like a plain
+// per-id counter oracle under randomized update/snapshot interleavings.
 //
 // Gates, in order of importance:
-//   - TIER PARITY: the same seeded op stream driven through each available
-//     kernel tier (scalar, AVX2, AVX-512 — including switching tiers
-//     mid-stream) produces identical frequencies, totals, and snapshot
-//     contents. The staging layers (locality sort, radix partition, warm
-//     pass, gather pipeline) may permute ranks, never answers.
-//   - STAGING-PATH COVERAGE: the partition and gather-pipeline branches
-//     are gated on DRAM-scale m in production; the suite lowers those
-//     gates through internal::batch_gate_overrides so each branch runs —
-//     and gets diffed against the oracle — at unit-test scale.
+//   - ORACLE PARITY after every batch, on arena pages (where the flat
+//     epoch and its prefetch staging run) and on heap pages (no runs, so
+//     the paged kernel replays everything).
+//   - BENCHMARK-SCALE m: 2^19 ids (one shard of the repository
+//     benchmark's 2^20) under Zipf and adjacent-pair streams in
+//     drain-sized batches, so the warm pass and the lookahead run over a
+//     working set larger than L2, with a snapshot held mid-stream.
+//   - HELD SNAPSHOTS stay frozen at their take-time contents while the
+//     owner keeps batching.
 //   - FORCED REFLATTEN: a long-lived snapshot pins pages the gentle
 //     EnsureFlat probe can never reclaim; after kForceReflattenUpdates
 //     paged updates the profile must force its way back to the flat epoch
 //     (cow::PagedArray::ForceFlat) without perturbing the snapshot.
-//   - the heap-allocator fallback: flat never engages, answers identical.
 //
 // The file name carries both "core" and "cow" on purpose: the ASan CI leg
 // runs -R "engine|core", the TSan leg -R "engine|cow|arena" — this suite
-// is the kernel parity gate under both sanitizers (ISSUE 9 acceptance).
+// is the replay parity gate under both sanitizers.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -36,6 +36,7 @@
 #include "core/frequency_profile.h"
 #include "core/page_arena.h"
 #include "sprofile/event.h"
+#include "stream/distribution.h"
 #include "util/random.h"
 
 namespace sprofile {
@@ -46,39 +47,8 @@ cow::PageAllocatorRef SmallArena() {
       .arena_bytes = 64 * 1024, .first_arena_bytes = 64 * 1024});
 }
 
-// Restores the detected kernel tier and the production gate constants no
-// matter how a test exits — a leaked override would silently change every
-// later suite in the same binary.
-struct KernelEnvGuard {
-  ~KernelEnvGuard() {
-    simd::ClearKernelTierOverride();
-    internal::batch_gate_overrides() = internal::BatchGateOverrides{};
-  }
-};
-
-// Which staging branch the run should steer replays into. Each entry
-// lowers exactly one production m-gate to 1 so the branch engages at
-// test-scale m; `defaults` leaves them alone (lean lookahead + warm pass).
-struct GateConfig {
-  const char* name;
-  internal::BatchGateOverrides overrides;
-};
-
-const GateConfig kGateConfigs[] = {
-    {"defaults", {}},
-    {"partition", {.partition_min_m = 1}},
-    {"gather_pipeline", {.gather_pipeline_min_m = 1}},
-    {"locality_sort", {.sort_locality_min_m = 1}},
-};
-
-std::vector<simd::KernelTier> AvailableTiers() {
-  std::vector<simd::KernelTier> tiers{simd::KernelTier::kScalar};
-  const simd::KernelTier top = simd::DetectKernelTier();
-  if (top >= simd::KernelTier::kAvx2) tiers.push_back(simd::KernelTier::kAvx2);
-  if (top >= simd::KernelTier::kAvx512) {
-    tiers.push_back(simd::KernelTier::kAvx512);
-  }
-  return tiers;
+cow::PageAllocatorRef Heap() {
+  return std::make_shared<cow::HeapPageAllocator>();
 }
 
 constexpr uint32_t kM = 4096;
@@ -90,27 +60,22 @@ struct HeldSnapshot {
   std::vector<int64_t> expected;
 };
 
+int64_t Sum(const std::vector<int64_t>& v) {
+  int64_t total = 0;
+  for (const int64_t f : v) total += f;
+  return total;
+}
+
 // Drives one seeded interleaving of ApplyBatch / singles / snapshot
-// take+drop against a plain counter oracle. `mixed_tiers` re-rolls the
-// kernel tier before every batch (parity must survive mid-stream
-// switches); otherwise the caller's override stays pinned.
-void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed,
-                         bool mixed_tiers,
-                         std::vector<int64_t>* final_freqs_out) {
-  const std::vector<simd::KernelTier> tiers = AvailableTiers();
+// take+drop against a plain counter oracle, checking the whole profile
+// after every batch.
+void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed) {
   FrequencyProfile p(kM, std::move(alloc));
-  p.set_batch_sort_threshold(32);  // engine-tunable; low so staging engages
   std::vector<int64_t> oracle(kM, 0);
   std::deque<HeldSnapshot> held;
   Xoshiro256PlusPlus rng(seed);
-  // Tier rolls come from their own stream so the op sequence stays
-  // draw-for-draw identical with the pinned-tier runs being diffed.
-  Xoshiro256PlusPlus tier_rng(Mix64(seed));
 
   for (int b = 0; b < kBatches; ++b) {
-    if (mixed_tiers) {
-      simd::SetKernelTier(tiers[tier_rng.NextBounded(tiers.size())]);
-    }
     const uint32_t r = rng.NextBounded(100);
     if (r < 8) {
       // Singles keep the non-batch Add/Remove kernel in the interleave.
@@ -125,18 +90,16 @@ void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed,
         }
       }
     } else {
-      // Batch sizes straddle every gate: below batch_sort_threshold (32),
-      // above it, and above kWarmMinBatch (256). The id universe narrows
-      // on some batches so the coalescing pass sees real duplicate mass
-      // (and its EWMA keeps both the coalesced and direct replay paths
-      // alive across the run).
+      // Batch sizes straddle the lookahead depth (24) and kWarmMinBatch
+      // (256). The id universe narrows on some batches so neighbouring
+      // events share ids and blocks.
       const size_t n = 1 + rng.NextBounded(rng.NextBounded(2) == 0
                                                ? 48
                                                : simd::kWarmMinBatch + 200);
       const uint32_t universe =
           rng.NextBounded(3) == 0 ? 1 + rng.NextBounded(64) : kM;
       std::vector<Event> batch;
-      batch.reserve(n + 2);
+      batch.reserve(2 * n);
       for (size_t i = 0; i < n; ++i) {
         const uint32_t id = rng.NextBounded(universe);
         const int32_t delta =
@@ -144,16 +107,24 @@ void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed,
             (rng.NextBounded(2) == 0 ? 1 : -1);
         batch.push_back(Event{id, delta});
         oracle[id] += delta;
-      }
-      if (rng.NextBounded(4) == 0) {
-        // Self-cancelling pair: exercises the fused count-then-move
-        // netting (net zero must leave the id's block untouched).
-        const uint32_t id = rng.NextBounded(universe);
-        batch.push_back(Event{id, +2});
-        batch.push_back(Event{id, -2});
+        const uint32_t follow = rng.NextBounded(8);
+        if (follow == 0) {
+          // Exact inverse: the adjacent pair ApplyBatch skips.
+          batch.push_back(Event{id, -delta});
+          oracle[id] -= delta;
+        } else if (follow == 1) {
+          // Near-inverse on the same id: must NOT be skipped.
+          const int32_t near = delta > 0 ? -delta + 1 : -delta - 1;
+          batch.push_back(Event{id, near});
+          oracle[id] += near;
+        }
       }
       p.ApplyBatch(batch);
     }
+    ASSERT_EQ(p.ToFrequencies(), oracle)
+        << "diverged (seed=" << seed << " batch=" << b << ")";
+    ASSERT_EQ(p.total_count(), Sum(oracle))
+        << "seed=" << seed << " batch=" << b;
 
     // Snapshot churn: takes pin pages (ending any flat epoch), drops let
     // the gentle re-flatten resume. Long-held ones force divergence.
@@ -167,81 +138,115 @@ void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed,
           << ")";
       held.pop_front();
     }
-    if (b % 16 == 0) {
-      // Spot-check live answers mid-stream so a failure shrinks to the
-      // earliest divergent batch rather than only surfacing at the end.
-      for (int probe = 0; probe < 8; ++probe) {
-        const uint32_t id = rng.NextBounded(kM);
-        ASSERT_EQ(p.Frequency(id), oracle[id])
-            << "live frequency diverged (seed=" << seed << " batch=" << b
-            << " id=" << id << ")";
-      }
-    }
   }
 
   ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
-  ASSERT_EQ(p.ToFrequencies(), oracle) << "seed=" << seed;
-  int64_t total = 0;
-  for (const int64_t f : oracle) total += f;
-  ASSERT_EQ(p.total_count(), total) << "seed=" << seed;
   for (const HeldSnapshot& h : held) {
     ASSERT_EQ(h.snap.ToFrequencies(), h.expected)
         << "held snapshot diverged (seed=" << seed << ")";
   }
-  if (final_freqs_out != nullptr) *final_freqs_out = p.ToFrequencies();
 }
 
-// The parity statement proper: for every staging configuration, every
-// available tier (pinned) plus a mixed-tier run reproduces the identical
-// final state on the identical seeded stream.
-void RunTierParity(bool heap_alloc, uint64_t seed) {
-  KernelEnvGuard guard;
-  for (const GateConfig& cfg : kGateConfigs) {
-    SCOPED_TRACE(cfg.name);
-    internal::batch_gate_overrides() = cfg.overrides;
-    std::vector<std::vector<int64_t>> results;
-    for (const simd::KernelTier tier : AvailableTiers()) {
-      SCOPED_TRACE(simd::KernelTierName(tier));
-      ASSERT_EQ(simd::SetKernelTier(tier), tier);
-      cow::PageAllocatorRef alloc =
-          heap_alloc ? std::make_shared<cow::HeapPageAllocator>()
-                     : SmallArena();
-      results.emplace_back();
-      RunParityInterleave(std::move(alloc), seed, /*mixed_tiers=*/false,
-                          &results.back());
-      if (results.size() > 1) {
-        ASSERT_EQ(results.back(), results.front())
-            << "tier diverged from scalar (seed=" << seed << ")";
-      }
-    }
-    simd::ClearKernelTierOverride();
-    std::vector<int64_t> mixed;
-    RunParityInterleave(heap_alloc
-                            ? cow::PageAllocatorRef(
-                                  std::make_shared<cow::HeapPageAllocator>())
-                            : SmallArena(),
-                        seed, /*mixed_tiers=*/true, &mixed);
-    ASSERT_EQ(mixed, results.front())
-        << "mid-stream tier switching diverged (seed=" << seed << ")";
+constexpr uint64_t kSeeds[] = {20260808, 97, 1, 424242, 7777, 31337};
+
+TEST(BatchParityPropertyTest, ArenaMatchesOracle) {
+  for (const uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    RunParityInterleave(SmallArena(), seed);
   }
 }
 
-TEST(KernelParityPropertyTest, ArenaTiersMatchOracle) {
-  RunTierParity(/*heap_alloc=*/false, 20260808);
-}
-
-TEST(KernelParityPropertyTest, ArenaTiersMatchOracleSecondSeed) {
-  RunTierParity(/*heap_alloc=*/false, 97);
-}
-
-TEST(KernelParityPropertyTest, HeapTiersMatchOracle) {
-  // SupportsRuns() == false: the flat epoch never engages, every staged
-  // branch must fall through to the paged kernel with identical answers.
-  RunTierParity(/*heap_alloc=*/true, 20260808);
+TEST(BatchParityPropertyTest, HeapMatchesOracle) {
+  // SupportsRuns() == false: the flat epoch never engages, so no prefetch
+  // staging runs and every batch replays through the paged kernel.
+  for (const uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    RunParityInterleave(Heap(), seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Forced reflatten (cow::PagedArray::ForceFlat) — the new escalation path.
+// Benchmark-scale m: the staging actually runs on a beyond-L2 working set.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kLargeM = 1u << 19;
+constexpr size_t kLargeBatch = 1024;  // EngineOptions::drain_batch default
+constexpr int kLargeBatches = 48;
+
+enum class Shape { kZipf, kPairs };
+
+// Zipf(1.1) with 75% adds; or about 80% adjacent (x,+1),(x,-1) pairs on
+// 1024 hot ids plus a uniform tail with 25% removes.
+std::vector<Event> LargeBatch(Shape shape, const stream::ZipfIdDistribution& zipf,
+                              Xoshiro256PlusPlus* rng) {
+  std::vector<Event> batch;
+  batch.reserve(kLargeBatch + 1);
+  while (batch.size() < kLargeBatch) {
+    if (shape == Shape::kZipf) {
+      batch.push_back(Event{zipf.Sample(rng), rng->NextBounded(4) == 0 ? -1 : 1});
+    } else if (rng->NextBounded(10) < 8) {
+      const auto id = static_cast<uint32_t>(rng->NextBounded(1024));
+      batch.push_back(Event::Add(id));
+      batch.push_back(Event::Remove(id));
+    } else {
+      batch.push_back(Event{static_cast<uint32_t>(rng->NextBounded(kLargeM)),
+                            rng->NextBounded(4) == 0 ? -1 : 1});
+    }
+  }
+  return batch;
+}
+
+void RunLargeM(cow::PageAllocatorRef alloc, Shape shape, bool expect_flat) {
+  FrequencyProfile p(kLargeM, std::move(alloc));
+  std::vector<int64_t> oracle(kLargeM, 0);
+  const stream::ZipfIdDistribution zipf(kLargeM, 1.1);
+  Xoshiro256PlusPlus rng(shape == Shape::kZipf ? 11 : 12);
+  std::optional<HeldSnapshot> held;
+  uint64_t applied = 0;
+
+  for (int b = 0; b < kLargeBatches; ++b) {
+    const std::vector<Event> batch = LargeBatch(shape, zipf, &rng);
+    p.ApplyBatch(batch);
+    for (const Event& e : batch) oracle[e.id] += e.delta;
+    applied += batch.size();
+    ASSERT_EQ(p.ToFrequencies(), oracle) << "batch=" << b;
+    ASSERT_EQ(p.total_count(), Sum(oracle)) << "batch=" << b;
+    // A publication held across a third of the run: the epoch ends, the
+    // replay runs paged until the forced reflatten, then flat again.
+    if (b == kLargeBatches / 3) held.emplace(HeldSnapshot{p.Snapshot(), oracle});
+    if (b == 2 * kLargeBatches / 3) {
+      ASSERT_EQ(held->snap.ToFrequencies(), held->expected);
+      held.reset();
+    }
+  }
+  ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
+  if (expect_flat) {
+    // Most updates ran flat, i.e. behind the warm pass and the lookahead.
+    EXPECT_LT(p.paged_updates(), applied / 4);
+    EXPECT_TRUE(p.TryReflatten());
+  } else {
+    EXPECT_FALSE(p.storage_flat());
+  }
+}
+
+TEST(BatchParityLargeMTest, ZipfArena) {
+  RunLargeM(cow::MakeArenaPageAllocator(), Shape::kZipf, /*expect_flat=*/true);
+}
+
+TEST(BatchParityLargeMTest, PairsArena) {
+  RunLargeM(cow::MakeArenaPageAllocator(), Shape::kPairs, /*expect_flat=*/true);
+}
+
+TEST(BatchParityLargeMTest, ZipfHeap) {
+  RunLargeM(Heap(), Shape::kZipf, /*expect_flat=*/false);
+}
+
+TEST(BatchParityLargeMTest, PairsHeap) {
+  RunLargeM(Heap(), Shape::kPairs, /*expect_flat=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// Forced reflatten (cow::PagedArray::ForceFlat).
 // ---------------------------------------------------------------------------
 
 TEST(KernelParityForceFlatTest, PagedArrayForceFlatEvictsPinnedSnapshot) {
@@ -275,7 +280,7 @@ TEST(KernelParityForceFlatTest, PagedArrayForceFlatEvictsPinnedSnapshot) {
 }
 
 TEST(KernelParityForceFlatTest, HeapForceFlatStaysPaged) {
-  auto alloc = std::make_shared<cow::HeapPageAllocator>();
+  auto alloc = Heap();
   cow::PagedArray<uint64_t> a(alloc, 1024);
   a.resize(1024);
   const cow::PagedArray<uint64_t> snap = a;
@@ -291,9 +296,7 @@ TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {
   // never win; after kForceReflattenUpdates paged updates TryReflatten
   // must force the flat epoch back — with the snapshot still live and
   // still frozen.
-  KernelEnvGuard guard;
   FrequencyProfile p(kM, SmallArena());
-  p.set_batch_sort_threshold(32);
   std::vector<int64_t> oracle(kM, 0);
   Xoshiro256PlusPlus rng(424242);
 
@@ -329,56 +332,29 @@ TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {
       << "forced divergence leaked into a held snapshot";
 }
 
-TEST(KernelParityForceFlatTest, ForcedEpochParityAcrossTiers) {
-  // Same held-snapshot hammering, once per tier: the forced-flat epoch's
-  // staged replay must keep parity with the scalar kernel too.
-  KernelEnvGuard guard;
-  std::vector<std::vector<int64_t>> results;
-  for (const simd::KernelTier tier : AvailableTiers()) {
-    SCOPED_TRACE(simd::KernelTierName(tier));
-    ASSERT_EQ(simd::SetKernelTier(tier), tier);
-    FrequencyProfile p(kM, SmallArena());
-    p.set_batch_sort_threshold(32);
-    Xoshiro256PlusPlus rng(7777);
-    ASSERT_TRUE(p.TryReflatten());
-    const FrequencyProfile snap = p.Snapshot();
-    for (int b = 0; b < 48; ++b) {
-      std::vector<Event> batch;
-      batch.reserve(300);
-      for (int i = 0; i < 300; ++i) {
-        batch.push_back(Event{static_cast<uint32_t>(rng.NextBounded(kM)),
-                              rng.NextBounded(2) == 0 ? 1 : -1});
-      }
-      p.ApplyBatch(batch);
+TEST(KernelParityForceFlatTest, ForcedEpochMatchesOracle) {
+  // Same held-snapshot hammering with an oracle check after every batch:
+  // the replay must keep parity across the paged -> forced-flat switch.
+  FrequencyProfile p(kM, SmallArena());
+  std::vector<int64_t> oracle(kM, 0);
+  Xoshiro256PlusPlus rng(7777);
+  ASSERT_TRUE(p.TryReflatten());
+  const FrequencyProfile snap = p.Snapshot();
+  for (int b = 0; b < 48; ++b) {
+    std::vector<Event> batch;
+    batch.reserve(300);
+    for (int i = 0; i < 300; ++i) {
+      const Event e{static_cast<uint32_t>(rng.NextBounded(kM)),
+                    rng.NextBounded(2) == 0 ? 1 : -1};
+      batch.push_back(e);
+      oracle[e.id] += e.delta;
     }
-    EXPECT_TRUE(p.storage_flat());
-    ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
-    results.push_back(p.ToFrequencies());
-    if (results.size() > 1) {
-      ASSERT_EQ(results.back(), results.front()) << "tier diverged";
-    }
-    EXPECT_EQ(snap.ToFrequencies(), std::vector<int64_t>(kM, 0));
+    p.ApplyBatch(batch);
+    ASSERT_EQ(p.ToFrequencies(), oracle) << "batch=" << b;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Tier override plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(KernelTierTest, OverrideClampsToDetectedTier) {
-  KernelEnvGuard guard;
-  const simd::KernelTier top = simd::DetectKernelTier();
-  // Requesting more than the CPU has clamps; requesting scalar always
-  // sticks (the forced-scalar CI leg and bench A/B rely on both).
-  EXPECT_EQ(simd::SetKernelTier(simd::KernelTier::kAvx512),
-            top >= simd::KernelTier::kAvx512 ? simd::KernelTier::kAvx512
-                                             : top);
-  EXPECT_EQ(simd::SetKernelTier(simd::KernelTier::kScalar),
-            simd::KernelTier::kScalar);
-  EXPECT_EQ(simd::ActiveKernelTier(), simd::KernelTier::kScalar);
-  simd::ClearKernelTierOverride();
-  EXPECT_EQ(simd::ActiveKernelTier(), top);
-  EXPECT_STRNE(simd::KernelTierName(simd::ActiveKernelTier()), nullptr);
+  EXPECT_TRUE(p.storage_flat());
+  ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
+  EXPECT_EQ(snap.ToFrequencies(), std::vector<int64_t>(kM, 0));
 }
 
 }  // namespace

@@ -572,19 +572,6 @@ TEST(EngineOptionsTest, ValidateRejectsBadBatchSortThreshold) {
   EXPECT_TRUE(o.Validate().ok());
 }
 
-TEST(EngineOptionsTest, BatchSortThresholdReachesShardBackends) {
-  // The worker forwards the option to each backend right after
-  // construction (TunesBatchPipeline); verify through the live profile
-  // and by ingesting across the threshold without disturbing answers.
-  EngineOptions options = SmallOptions(2);
-  options.batch_sort_threshold = 7;
-  ShardedProfiler engine(1024, options);
-  for (uint32_t id = 0; id < 1024; ++id) engine.Add(id % 64);
-  engine.Drain();
-  EXPECT_EQ(engine.total_count(), 1024);
-  EXPECT_EQ(engine.Mode(), 16);  // 1024 adds over 64 ids, uniform
-}
-
 TEST(EngineOptionsTest, ValidateRejectsPinningMoreShardsThanCores) {
   const uint32_t cores = std::thread::hardware_concurrency();
   if (cores == 0) GTEST_SKIP() << "hardware_concurrency unknown";

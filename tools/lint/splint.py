@@ -31,9 +31,8 @@ checks (see tools/lint/README.md for the rationale behind each rule):
                       (PR 6 accidentally committed build_review/)
   intrinsics-confinement
                       x86 SIMD intrinsics (<immintrin.h>, _mm*_ calls,
-                      __m256 types) appear only in src/core/flat_kernel.h
-                      — every other file inherits its runtime dispatch
-                      and scalar fallback instead of open-coding SIMD
+                      __m256 types) appear only in src/core/flat_kernel.h,
+                      which today holds scalar prefetch helpers only
 
 Exit status: 0 clean, 1 violations (printed one per line as
 path:line: [rule] message), 2 usage/internal error.
@@ -116,11 +115,9 @@ FAILPOINT_SCAN_DIRS = ("src", "include")
 FAILPOINT_DOCS_PATH = "docs/ROBUSTNESS.md"
 FAILPOINT_SITE_RE = re.compile(r'SPROFILE_FAILPOINT\(\s*"([^"]+)"')
 
-# intrinsics-confinement: the one header allowed to spell x86 SIMD.
-# Everything else must call its dispatched wrappers, so the scalar
-# fallback, the forced-scalar build, and non-x86 ports never rot.
-# (cmake/probes/simd_kernel.cc mirrors the idiom at configure time; it
-# sits outside the scanned trees on purpose.)
+# intrinsics-confinement: the one header allowed to spell x86 SIMD. It
+# holds none today (the measured tiers were deleted); the rule keeps
+# unmeasured SIMD from creeping back into any other file.
 INTRINSICS_ALLOWED_FILES = {"src/core/flat_kernel.h"}
 INTRINSICS_SCAN_DIRS = ("src", "include", "tests", "bench", "examples",
                         "tools")
@@ -551,10 +548,9 @@ def rule_intrinsics_confinement(root):
                     violations.append(Violation(
                         rel, i, "intrinsics-confinement",
                         "x86 SIMD intrinsics outside src/core/"
-                        "flat_kernel.h — call its runtime-dispatched "
-                        "wrappers instead, so the scalar fallback and "
-                        "the SPROFILE_FORCE_SCALAR_KERNEL build keep "
-                        "covering this code path"))
+                        "flat_kernel.h — the update path is scalar "
+                        "(measured: the SIMD tiers won no benchmark "
+                        "row); prefetch through flat_kernel.h instead"))
     return violations
 
 
