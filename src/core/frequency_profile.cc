@@ -300,6 +300,15 @@ uint32_t FrequencyProfile::CountAtLeast(int64_t f) const {
 }
 
 uint32_t FrequencyProfile::CountEqual(int64_t f) const {
+  // At or above the mode the top active block answers directly: blocks
+  // are maximal and never cross the frozen boundary, so its size is the
+  // whole active tie group. The engine's merged Mode() asks this once per
+  // shard on every call.
+  if (num_active() > 0) {
+    const Block& top = pool_.Get(slots_[m_ - 1].block);
+    if (f > top.f) return 0;
+    if (f == top.f) return top.r - top.l + 1;
+  }
   return LowerBoundRank(f + 1) - LowerBoundRank(f);
 }
 

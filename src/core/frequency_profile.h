@@ -346,7 +346,8 @@ class FrequencyProfile {
   /// Number of active objects with frequency >= f. O(log m).
   uint32_t CountAtLeast(int64_t f) const;
 
-  /// Number of active objects with frequency == f. O(log m).
+  /// Number of active objects with frequency == f. O(1) when f is at or
+  /// above the mode frequency, O(log m) otherwise.
   uint32_t CountEqual(int64_t f) const;
 
   /// Number of active objects with frequency < f. O(log m).

@@ -99,6 +99,23 @@ TEST(PeelMinTest, TieGroupPeelsWholeBlockEventually) {
   EXPECT_TRUE(p.Validate().ok());
 }
 
+TEST(PeelMinTest, CountEqualAtAndAboveModeIgnoresFrozen) {
+  // One tie group of 4 at the mode; peel until only part of it is active.
+  FrequencyProfile p = FrequencyProfile::FromFrequencies({6, 2, 6, 6, 6});
+  EXPECT_EQ(p.CountEqual(6), 4u);
+  EXPECT_EQ(p.CountEqual(7), 0u);
+  EXPECT_EQ(p.PeelMin().frequency, 2);
+  EXPECT_EQ(p.PeelMin().frequency, 6);
+  EXPECT_EQ(p.PeelMin().frequency, 6);
+  EXPECT_EQ(p.CountEqual(6), 2u) << "frozen tie-group members left out";
+  EXPECT_EQ(p.CountEqual(7), 0u);
+  EXPECT_EQ(p.CountEqual(2), 0u);
+  while (p.num_active() > 0) p.PeelMin();
+  EXPECT_EQ(p.CountEqual(6), 0u) << "no active objects";
+  EXPECT_EQ(p.CountEqual(7), 0u);
+  EXPECT_TRUE(p.Validate().ok());
+}
+
 TEST(InsertSlotTest, GrowsFromEmpty) {
   FrequencyProfile p(0);
   const uint32_t a = p.InsertSlot();
