@@ -26,6 +26,7 @@
 #ifndef SPROFILE_SPROFILE_ADAPTERS_H_
 #define SPROFILE_SPROFILE_ADAPTERS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -96,6 +97,11 @@ class SProfile : public ProfilerBase<SProfile> {
     p_.TopK(k, &entries);
     return internal::FrequenciesOf(entries);
   }
+  /// Tie groups from the mode down until they cover min(k, capacity())
+  /// ids (the engine's merged TopK input). O(#groups emitted).
+  std::vector<GroupStat> TopGroups(uint32_t k) const {
+    return p_.TopGroups(k);
+  }
 
   /// The allocator behind this profile's storage pages (engine MemoryStats).
   const cow::PageAllocatorRef& page_allocator() const {
@@ -150,6 +156,19 @@ class Naive : public ProfilerBase<Naive> {
   uint32_t CountEqual(int64_t f) const { return p_.CountEqual(f); }
   std::vector<GroupStat> Histogram() const { return p_.Histogram(); }
   std::vector<int64_t> TopK(uint32_t k) const { return p_.TopKFrequencies(k); }
+  /// The suffix of Histogram() covering min(k, capacity()) ids, reversed
+  /// (descending). O(m log m), like every oracle answer.
+  std::vector<GroupStat> TopGroups(uint32_t k) const {
+    const std::vector<GroupStat> hist = p_.Histogram();
+    const uint64_t want = std::min<uint64_t>(k, capacity());
+    std::vector<GroupStat> out;
+    uint64_t covered = 0;
+    for (auto it = hist.rbegin(); covered < want; ++it) {
+      out.push_back(*it);
+      covered += it->count;
+    }
+    return out;
+  }
 
   baselines::NaiveProfiler& backend() { return p_; }
   const baselines::NaiveProfiler& backend() const { return p_; }

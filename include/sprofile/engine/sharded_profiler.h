@@ -91,14 +91,17 @@ namespace sprofile {
 namespace engine {
 
 /// What a backend must provide to power a shard: the full concept
-/// vocabulary (merged queries lean on Histogram/CountEqual), construction
-/// from a capacity, and both snapshot primitives — Clone() as an explicit
-/// deep copy, Snapshot() as a frozen copy that may be read from other
-/// threads while the original keeps updating (copy-on-write for SProfile;
-/// a plain deep copy trivially satisfies the contract too).
+/// vocabulary (merged queries lean on Histogram/CountEqual), TopGroups(k)
+/// — its tie groups from the mode down until they cover min(k, capacity())
+/// ids, which merged TopK merges — construction from a capacity, and both
+/// snapshot primitives — Clone() as an explicit deep copy, Snapshot() as a
+/// frozen copy that may be read from other threads while the original
+/// keeps updating (copy-on-write for SProfile; a plain deep copy trivially
+/// satisfies the contract too).
 template <typename B>
 concept ShardBackend = FullProfiler<B> && std::constructible_from<B, uint32_t> &&
-                       requires(const B& b) {
+                       requires(const B& b, uint32_t k) {
+                         { b.TopGroups(k) } -> std::same_as<std::vector<GroupStat>>;
                          { b.Clone() } -> std::same_as<B>;
                          { b.Snapshot() } -> std::same_as<B>;
                        };
@@ -1070,34 +1073,19 @@ class ShardedProfilerT {
   int64_t Mode() const { return MergedMode().frequency; }
 
   /// Merged ascending histogram: k-way merge of per-shard histograms with
-  /// equal frequencies summed. O(Σ groups · log shards).
+  /// equal frequencies summed. O(Σ groups · shards).
   std::vector<GroupStat> Histogram() const {
     SPROFILE_METRIC_COUNTER(
         "sprofile_engine_query_histogram", "queries",
-        "Merged histogram builds (incl. quantile/top-k internal use)")
+        "Merged histogram builds (incl. quantile internal use)")
         .Increment();
-    std::vector<std::vector<GroupStat>> per_shard = PerShardHistograms();
+    const std::vector<std::vector<GroupStat>> per_shard =
+        PerShardGroups([](const Backend& b) { return b.Histogram(); });
     std::vector<size_t> cursor(per_shard.size(), 0);
     std::vector<GroupStat> merged;
-    for (;;) {
-      bool any = false;
-      int64_t lowest = 0;
-      for (size_t s = 0; s < per_shard.size(); ++s) {
-        if (cursor[s] >= per_shard[s].size()) continue;
-        const int64_t f = per_shard[s][cursor[s]].frequency;
-        if (!any || f < lowest) lowest = f;
-        any = true;
-      }
-      if (!any) break;
-      uint32_t count = 0;
-      for (size_t s = 0; s < per_shard.size(); ++s) {
-        if (cursor[s] < per_shard[s].size() &&
-            per_shard[s][cursor[s]].frequency == lowest) {
-          count += per_shard[s][cursor[s]].count;
-          ++cursor[s];
-        }
-      }
-      merged.push_back(GroupStat{lowest, count});
+    GroupStat g{};
+    while (NextMergedGroup(per_shard, std::less<>(), &cursor, &g)) {
+      merged.push_back(g);
     }
     return merged;
   }
@@ -1158,22 +1146,26 @@ class ShardedProfilerT {
     return sum;
   }
 
-  /// Top-k frequencies, descending: the merged histogram walked from its
-  /// top group, emitting count copies per group. Emits min(k, capacity())
-  /// values. O(Σ groups · shards) for the merge + O(k) emission.
+  /// Top-k frequencies, descending: a descending k-way merge of every
+  /// shard's TopGroups(k), emitting count copies per merged group until
+  /// min(k, capacity()) values are out. Each shard's list covers k ids or
+  /// the whole shard, so every group merged before the cut is exact.
+  /// O(shards · groups in the top k) for the merge + O(k) emission.
   std::vector<int64_t> TopK(uint32_t k) const {
     SPROFILE_METRIC_COUNTER("sprofile_engine_query_topk", "queries",
                             "TopK() merges served")
         .Increment();
-    const std::vector<GroupStat> merged = Histogram();
-    std::vector<int64_t> out;
+    const std::vector<std::vector<GroupStat>> per_shard =
+        PerShardGroups([k](const Backend& b) { return b.TopGroups(k); });
+    std::vector<size_t> cursor(per_shard.size(), 0);
     const uint64_t want = std::min<uint64_t>(k, capacity_);
+    std::vector<int64_t> out;
     out.reserve(want);
-    for (auto it = merged.rbegin(); it != merged.rend() && out.size() < want;
-         ++it) {
-      for (uint32_t i = 0; i < it->count && out.size() < want; ++i) {
-        out.push_back(it->frequency);
-      }
+    GroupStat g{};
+    while (out.size() < want &&
+           NextMergedGroup(per_shard, std::greater<>(), &cursor, &g)) {
+      out.insert(out.end(), std::min<uint64_t>(g.count, want - out.size()),
+                 g.frequency);
     }
     return out;
   }
@@ -1335,14 +1327,45 @@ class ShardedProfilerT {
     return true;
   }
 
-  std::vector<std::vector<GroupStat>> PerShardHistograms() const {
+  /// `groups(profile)` for every non-empty shard's snapshot.
+  template <typename GroupsOf>
+  std::vector<std::vector<GroupStat>> PerShardGroups(GroupsOf groups) const {
     std::vector<std::vector<GroupStat>> out;
     out.reserve(shards_.size());
     for (const auto& snap : SnapshotAll()) {
       if (snap->profile.capacity() == 0) continue;
-      out.push_back(snap->profile.Histogram());
+      out.push_back(groups(snap->profile));
     }
     return out;
+  }
+
+  /// One step of the k-way group merge over lists sorted by `before`
+  /// (std::less for ascending, std::greater for descending): picks the
+  /// head frequency that comes first, sums the heads tied at it into
+  /// *out and advances them. Returns false once every list is exhausted.
+  template <typename Before>
+  static bool NextMergedGroup(const std::vector<std::vector<GroupStat>>& lists,
+                              Before before, std::vector<size_t>* cursor,
+                              GroupStat* out) {
+    bool any = false;
+    int64_t first = 0;
+    for (size_t s = 0; s < lists.size(); ++s) {
+      if ((*cursor)[s] >= lists[s].size()) continue;
+      const int64_t f = lists[s][(*cursor)[s]].frequency;
+      if (!any || before(f, first)) first = f;
+      any = true;
+    }
+    if (!any) return false;
+    uint32_t count = 0;
+    for (size_t s = 0; s < lists.size(); ++s) {
+      if ((*cursor)[s] < lists[s].size() &&
+          lists[s][(*cursor)[s]].frequency == first) {
+        count += lists[s][(*cursor)[s]].count;
+        ++(*cursor)[s];
+      }
+    }
+    *out = GroupStat{first, count};
+    return true;
   }
 
   uint32_t capacity_;

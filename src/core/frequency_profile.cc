@@ -322,6 +322,20 @@ void FrequencyProfile::TopK(uint32_t k, std::vector<FrequencyEntry>* out) const 
   }
 }
 
+std::vector<GroupStat> FrequencyProfile::TopGroups(uint32_t k) const {
+  std::vector<GroupStat> groups;
+  const uint32_t want = std::min(k, num_active());
+  // Ranks [rank, m_) are covered; blocks never cross the frozen boundary,
+  // so the walk stops at or above frozen_.
+  uint32_t rank = m_;
+  while (m_ - rank < want) {
+    const Block& b = pool_.Get(slots_[rank - 1].block);
+    groups.push_back(GroupStat{b.f, b.r - b.l + 1});
+    rank = b.l;
+  }
+  return groups;
+}
+
 std::vector<GroupStat> FrequencyProfile::Histogram() const {
   std::vector<GroupStat> hist;
   uint32_t rank = frozen_;

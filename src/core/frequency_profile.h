@@ -21,6 +21,7 @@
 //   Frequency(id)                O(1)
 //   CountAtLeast(f) etc.         O(log m)   binary search over ranks
 //   TopK(k, out)                 O(k)
+//   TopGroups(k)                 O(#groups in the top k)
 //   Histogram()                  O(#blocks)
 //
 // Extension beyond the paper: PeelMin() freezes the current minimum object
@@ -356,6 +357,12 @@ class FrequencyProfile {
   /// Appends the top-k entries (descending frequency; ties broken by rank)
   /// to *out. Emits min(k, num_active()) entries. O(k).
   void TopK(uint32_t k, std::vector<FrequencyEntry>* out) const;
+
+  /// The top tie groups, descending by frequency — one GroupStat per block
+  /// walked down from the mode — stopping once they cover
+  /// min(k, num_active()) objects. The last group is emitted whole, so the
+  /// groups may cover more than k objects. O(#groups emitted).
+  std::vector<GroupStat> TopGroups(uint32_t k) const;
 
   /// Frequency histogram of the active region, ascending by frequency —
   /// one GroupStat per block. O(#blocks).

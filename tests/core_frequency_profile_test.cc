@@ -157,6 +157,22 @@ TEST(FrequencyProfileTest, TopKWalksDescending) {
   EXPECT_EQ(top.size(), 4u);
 }
 
+TEST(FrequencyProfileTest, TopGroupsWalksGroupsDownFromTheMode) {
+  // Histogram: {0: 1, 2: 2, 5: 3, 9: 1}.
+  FrequencyProfile p = FrequencyProfile::FromFrequencies({5, 2, 9, 5, 0, 2, 5});
+  EXPECT_TRUE(p.TopGroups(0).empty());
+  EXPECT_EQ(p.TopGroups(1), (std::vector<GroupStat>{{9, 1}}));
+  // A cut inside the tie group at 5 returns the whole group.
+  EXPECT_EQ(p.TopGroups(2), (std::vector<GroupStat>{{9, 1}, {5, 3}}));
+  EXPECT_EQ(p.TopGroups(4), (std::vector<GroupStat>{{9, 1}, {5, 3}}));
+  EXPECT_EQ(p.TopGroups(5), (std::vector<GroupStat>{{9, 1}, {5, 3}, {2, 2}}));
+  std::vector<GroupStat> reversed = p.Histogram();
+  std::reverse(reversed.begin(), reversed.end());
+  EXPECT_EQ(p.TopGroups(7), reversed);
+  EXPECT_EQ(p.TopGroups(100), reversed) << "k > num_active()";
+  EXPECT_TRUE(FrequencyProfile(0).TopGroups(5).empty());
+}
+
 TEST(FrequencyProfileTest, MajorityDetection) {
   FrequencyProfile p(3);
   p.Add(1);

@@ -116,6 +116,22 @@ TEST(PeelMinTest, CountEqualAtAndAboveModeIgnoresFrozen) {
   EXPECT_TRUE(p.Validate().ok());
 }
 
+TEST(PeelMinTest, TopGroupsNeverReachesFrozenIds) {
+  FrequencyProfile p = FrequencyProfile::FromFrequencies({6, 2, 6, 1, 6, 4});
+  EXPECT_EQ(p.PeelMin().frequency, 1);
+  EXPECT_EQ(p.PeelMin().frequency, 2);
+  EXPECT_EQ(p.TopGroups(100), (std::vector<GroupStat>{{6, 3}, {4, 1}}));
+  // Every active id now sits in the tie group at 6, one of whose former
+  // members is frozen just below it.
+  EXPECT_EQ(p.PeelMin().frequency, 4);
+  EXPECT_EQ(p.PeelMin().frequency, 6);
+  EXPECT_EQ(p.TopGroups(1), (std::vector<GroupStat>{{6, 2}}));
+  EXPECT_EQ(p.TopGroups(100), (std::vector<GroupStat>{{6, 2}}));
+  while (p.num_active() > 0) p.PeelMin();
+  EXPECT_TRUE(p.TopGroups(100).empty()) << "no active objects";
+  EXPECT_TRUE(p.Validate().ok());
+}
+
 TEST(InsertSlotTest, GrowsFromEmpty) {
   FrequencyProfile p(0);
   const uint32_t a = p.InsertSlot();

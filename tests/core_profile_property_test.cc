@@ -83,6 +83,16 @@ void ExpectProfileMatchesOracle(const FrequencyProfile& p, const NaiveProfiler& 
   // Full histogram.
   EXPECT_EQ(p.Histogram(), o.Histogram());
 
+  // Top groups: the histogram's suffix covering min(10, m) ids, descending.
+  std::vector<GroupStat> top_groups;
+  const std::vector<GroupStat> hist = o.Histogram();
+  uint32_t covered = 0;
+  for (auto it = hist.rbegin(); covered < std::min<uint32_t>(10, m); ++it) {
+    top_groups.push_back(*it);
+    covered += it->count;
+  }
+  EXPECT_EQ(p.TopGroups(10), top_groups);
+
   // Top-k boundary agreement (frequencies only; ids may tie arbitrarily).
   std::vector<FrequencyEntry> top;
   const uint32_t k = std::min<uint32_t>(10, m);

@@ -96,8 +96,9 @@ TEST(EngineObsTest, IngestionAndQueryCountersAdvance) {
   EXPECT_EQ(CounterValue("sprofile_engine_query_quantile") - q_quant0, 1u);
   EXPECT_EQ(CounterValue("sprofile_engine_query_count") - q_count0, 1u);
   EXPECT_EQ(CounterValue("sprofile_engine_query_topk") - q_topk0, 1u);
-  // Direct call + KthSmallest's internal walk; TopK may also use it.
-  EXPECT_GE(CounterValue("sprofile_engine_query_histogram") - q_hist0, 2u);
+  // Direct call + KthSmallest's internal walk; TopK merges top groups
+  // and builds no histogram.
+  EXPECT_EQ(CounterValue("sprofile_engine_query_histogram") - q_hist0, 2u);
 }
 
 TEST(EngineObsTest, CallbackGaugesTrackEngineStorageAndUnregister) {

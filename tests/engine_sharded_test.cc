@@ -81,8 +81,13 @@ void ExpectMatchesOracle(const ShardedProfiler& engine,
     EXPECT_EQ(engine.CountAtLeast(f), oracle.CountAtLeast(f)) << "f " << f;
     EXPECT_EQ(engine.CountEqual(f), oracle.CountEqual(f)) << "f " << f;
   }
-  EXPECT_EQ(engine.TopK(std::min(m, 25u)),
-            oracle.TopKFrequencies(std::min(m, 25u)));
+  // TopK at the edges: empty, one, a mid cut, just past the largest
+  // shard (no single shard's top groups cover it), all ids, and past them.
+  const uint32_t shard_capacity =
+      ShardedProfiler::ShardCapacity(m, engine.num_shards(), 0);
+  for (uint32_t k : {0u, 1u, 25u, shard_capacity + 1, m, m + 7}) {
+    EXPECT_EQ(engine.TopK(k), oracle.TopKFrequencies(k)) << "k " << k;
+  }
 }
 
 TEST(ShardRoutingTest, StridePartitionCoversEveryIdOnce) {
@@ -128,6 +133,25 @@ TEST(ShardedProfilerTest, MoreShardsThanIdsLeavesEmptyShards) {
   EXPECT_EQ(engine.total_count(), 2);
   EXPECT_EQ(engine.KthSmallest(1), -1);
   EXPECT_EQ(engine.TopK(8), (std::vector<int64_t>{2, 1, -1}));
+}
+
+TEST(ShardedProfilerTest, TopKCutsInsideTieGroupsSpreadOverEveryShard) {
+  // Stride routing puts one id of each run of 4 on every shard: 4 ids at
+  // 9, 20 at 5 and 16 at 1, each tie group spread over all 4 shards.
+  constexpr uint32_t kCapacity = 40;
+  ShardedProfiler engine(kCapacity, SmallOptions(4));
+  baselines::NaiveProfiler oracle(kCapacity);
+  for (uint32_t id = 0; id < kCapacity; ++id) {
+    const int freq = id < 4 ? 9 : id < 24 ? 5 : 1;
+    for (int i = 0; i < freq; ++i) {
+      engine.Add(id);
+      oracle.Add(id);
+    }
+  }
+  engine.Drain();
+  for (uint32_t k = 0; k <= kCapacity + 1; ++k) {
+    EXPECT_EQ(engine.TopK(k), oracle.TopKFrequencies(k)) << "k " << k;
+  }
 }
 
 TEST(ShardedProfilerTest, FlushIsReadYourWrites) {
