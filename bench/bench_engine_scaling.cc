@@ -9,10 +9,11 @@
 // is end-to-end sustained ingestion (routing + queues + workers applying
 // via the batch replay path), not enqueue-only burst rate. Snapshot
 // interval is 0: publish cost stays off the steady-state path, as a
-// pure-ingestion deployment would configure it. The matrix crosses
-// alloc={arena,heap} (EngineOptions::page_allocator) with pin={off,on}
-// (pin=on rows appear only when shards <= hardware cores; EngineOptions
-// validation rejects over-subscription).
+// pure-ingestion deployment would configure it. The matrix crosses shard
+// counts with pin={off,on} (pin=on rows appear only when shards <=
+// hardware cores; EngineOptions validation rejects over-subscription).
+// Shards always sit on per-shard arenas; the rows keep their
+// "alloc":"arena" tag so they stay comparable with BENCH_engine.json.
 //
 // Section 2 (snapshot stall): the same ingestion with interval publishing
 // ON, in both snapshot modes. Each publication stalls its shard's worker
@@ -24,11 +25,10 @@
 //
 // Section 3 (update-path cost): one thread drives the SAME ±1 stream
 // through (a) a flat-array reference S-Profile (std::vector storage, the
-// pre-COW layout), (b) the paged FrequencyProfile on per-page heap
-// allocations, and (c) on a hugepage arena. ISSUE 4 acceptance: the arena
-// build lands within <= 1.25x of the flat reference at m = 1M — i.e.
-// the arena claws back most of the ~1.5-2x layout tax the heap-paged
-// storage measured.
+// pre-COW layout) and (b) the paged FrequencyProfile on a hugepage arena.
+// Target: the arena build lands within <= 1.25x of the flat reference at
+// m = 1M — i.e. it claws back most of the ~1.5-2x layout tax that
+// per-page heap storage measured.
 // A last row sends the stream through ApplyBatch in drain-sized chunks
 // on arena pages: the replay path the engine's workers run.
 //
@@ -89,17 +89,13 @@ struct RunResult {
 
 RunResult RunIngestion(const Sizes& sizes, uint32_t shards,
                        uint32_t snapshot_interval, engine::SnapshotMode mode,
-                       const std::vector<Event>& events,
-                       engine::PageAllocatorKind alloc =
-                           engine::PageAllocatorKind::kDefault,
-                       bool pin = false) {
+                       const std::vector<Event>& events, bool pin = false) {
   engine::ShardedProfiler profiler(
       sizes.m, engine::EngineOptions{.shards = shards,
                                      .queue_capacity = 1u << 15,
                                      .drain_batch = 2048,
                                      .snapshot_interval = snapshot_interval,
                                      .snapshot_mode = mode,
-                                     .page_allocator = alloc,
                                      .pin_threads = pin});
 
   const uint32_t producers = shards;
@@ -283,62 +279,54 @@ int main() {
   gen.GenerateEvents(sizes.n, &events);
 
   const uint32_t hw_cores = std::thread::hardware_concurrency();
-  TablePrinter table({"shards", "alloc", "pin", "events/sec", "vs 1 shard"});
+  TablePrinter table({"shards", "pin", "events/sec", "vs 1 shard"});
   double single = 0.0;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    for (const auto alloc : {engine::PageAllocatorKind::kArena,
-                             engine::PageAllocatorKind::kHeap}) {
-      const char* alloc_name =
-          alloc == engine::PageAllocatorKind::kArena ? "arena" : "heap";
-      for (const bool pin : {false, true}) {
-        // EngineOptions validation rejects pinning more shards than cores;
-        // skip those matrix cells rather than crash on small runners.
-        if (pin && hw_cores > 0 && shards > hw_cores) continue;
-        const RunResult r =
-            RunIngestion(sizes, shards, /*snapshot_interval=*/0,
-                         engine::SnapshotMode::kCow, events, alloc, pin);
-        const double eps = r.events_per_sec;
-        if (shards == 1 && alloc == engine::PageAllocatorKind::kArena && !pin) {
-          single = eps;
-        }
-        char rate[32], rel[32];
-        std::snprintf(rate, sizeof(rate), "%.3g", eps);
-        std::snprintf(rel, sizeof(rel), "%.2fx", eps / single);
-        table.AddRow({std::to_string(shards), alloc_name, pin ? "on" : "off",
-                      rate, rel});
-        const std::vector<JsonTag> tags = {{"shards", std::to_string(shards)},
-                                           {"alloc", alloc_name},
-                                           {"pin", pin ? "on" : "off"}};
-        EmitJsonLine("bench_engine_scaling", "events_per_sec", eps, tags);
-        EmitJsonLine("bench_engine_scaling", "speedup_vs_1shard", eps / single,
+    for (const bool pin : {false, true}) {
+      // EngineOptions validation rejects pinning more shards than cores;
+      // skip those matrix cells rather than crash on small runners.
+      if (pin && hw_cores > 0 && shards > hw_cores) continue;
+      const RunResult r =
+          RunIngestion(sizes, shards, /*snapshot_interval=*/0,
+                       engine::SnapshotMode::kCow, events, pin);
+      const double eps = r.events_per_sec;
+      if (shards == 1 && !pin) single = eps;
+      char rate[32], rel[32];
+      std::snprintf(rate, sizeof(rate), "%.3g", eps);
+      std::snprintf(rel, sizeof(rel), "%.2fx", eps / single);
+      table.AddRow({std::to_string(shards), pin ? "on" : "off", rate, rel});
+      const std::vector<JsonTag> tags = {{"shards", std::to_string(shards)},
+                                         {"alloc", "arena"},
+                                         {"pin", pin ? "on" : "off"}};
+      EmitJsonLine("bench_engine_scaling", "events_per_sec", eps, tags);
+      EmitJsonLine("bench_engine_scaling", "speedup_vs_1shard", eps / single,
+                   tags);
+      if (!pin) {
+        EmitJsonLine("bench_engine_scaling", "arena_hugepage_arenas",
+                     static_cast<double>(r.memory.totals.hugepage_arenas),
                      tags);
-        if (alloc == engine::PageAllocatorKind::kArena && !pin) {
-          EmitJsonLine("bench_engine_scaling", "arena_hugepage_arenas",
-                       static_cast<double>(r.memory.totals.hugepage_arenas),
-                       tags);
-          EmitJsonLine("bench_engine_scaling", "arena_pages_live",
-                       static_cast<double>(r.memory.totals.pages_live()), tags);
-          // Context gauges for the hugepage count (ISSUE 5 satellite): a 0
-          // above is legitimate when per-shard footprints never reach a
-          // 2 MiB mapping — these distinguish "no hugepage arenas" from
-          // "no arenas / no stats at all".
-          EmitJsonLine("bench_engine_scaling", "arena_arenas_created",
-                       static_cast<double>(r.memory.totals.arenas_created),
-                       tags);
-          EmitJsonLine("bench_engine_scaling", "arena_arenas_live",
-                       static_cast<double>(r.memory.totals.arenas_live), tags);
-          EmitJsonLine("bench_engine_scaling", "arena_bytes_mapped",
-                       static_cast<double>(r.memory.totals.arena_bytes_mapped),
-                       tags);
-          EmitJsonLine("bench_engine_scaling", "arena_shards_reporting",
-                       static_cast<double>(r.memory.shards_reporting), tags);
-        }
+        EmitJsonLine("bench_engine_scaling", "arena_pages_live",
+                     static_cast<double>(r.memory.totals.pages_live()), tags);
+        // Context gauges for the hugepage count: a 0
+        // above is legitimate when per-shard footprints never reach a
+        // 2 MiB mapping — these distinguish "no hugepage arenas" from
+        // "no arenas / no stats at all".
+        EmitJsonLine("bench_engine_scaling", "arena_arenas_created",
+                     static_cast<double>(r.memory.totals.arenas_created),
+                     tags);
+        EmitJsonLine("bench_engine_scaling", "arena_arenas_live",
+                     static_cast<double>(r.memory.totals.arenas_live), tags);
+        EmitJsonLine("bench_engine_scaling", "arena_bytes_mapped",
+                     static_cast<double>(r.memory.totals.arena_bytes_mapped),
+                     tags);
+        EmitJsonLine("bench_engine_scaling", "arena_shards_reporting",
+                     static_cast<double>(r.memory.shards_reporting), tags);
       }
     }
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("# target: >= 2x at 4 shards on a multi-core runner "
-              "(baseline row: 1 shard / arena / pin=off)\n\n");
+              "(baseline row: 1 shard / pin=off)\n\n");
 
   // -----------------------------------------------------------------------
   // Snapshot-publish stall: deep_copy vs cow. Interval chosen for ~64
@@ -390,10 +378,10 @@ int main() {
               "O(#pages))\n\n");
 
   // -----------------------------------------------------------------------
-  // Update-path cost: flat reference vs paged core on heap vs arena pages.
+  // Update-path cost: flat reference vs paged core on arena pages.
   // Single thread, Apply loop — isolates the storage layout from the
-  // engine machinery. ISSUE 4 acceptance: arena_over_flat <= 1.25 at
-  // m = 1M (most of the heap-paged 1.5-2x tax recovered).
+  // engine machinery. Target: arena_over_flat <= 1.25 at m = 1M (most of
+  // the 1.5-2x tax of per-page heap storage recovered).
   // -----------------------------------------------------------------------
   std::printf("# update-path cost (single thread, ns per +/-1 update, "
               "m=%s, n=%s)\n", sprofile::HumanCount(sizes.m).c_str(),
@@ -412,8 +400,6 @@ int main() {
   };
   for (const Contender& c :
        {Contender{"flat", nullptr},
-        Contender{"heap_pages",
-                  std::make_shared<sprofile::cow::HeapPageAllocator>()},
         Contender{"arena_pages", sprofile::cow::MakeArenaPageAllocator()}}) {
     double ns = flat_ns;
     double flat_fraction = 0.0;
@@ -423,9 +409,7 @@ int main() {
       Sink(p.Mode().frequency);
       flat_fraction = 1.0 - static_cast<double>(p.paged_updates()) /
                                 static_cast<double>(events.size());
-      if (std::string(c.name) == "arena_pages") {
-        arena_faults = static_cast<double>(c.alloc->Stats().cow_faults);
-      }
+      arena_faults = static_cast<double>(c.alloc->Stats().cow_faults);
     }
     char nss[32], rel[32];
     std::snprintf(nss, sizeof(nss), "%.3g", ns);
@@ -440,8 +424,7 @@ int main() {
                  {{"m", std::to_string(sizes.m)}});
     if (c.alloc != nullptr) {
       // Share of updates that ran through the exclusive-epoch flat kernel
-      // (no snapshots here, so arena_pages should be ~1.0 and heap_pages
-      // exactly 0.0 — the heap allocator has no runs by design).
+      // (no snapshots here, so it should be ~1.0).
       EmitJsonLine("bench_engine_scaling", "flat_update_fraction",
                    flat_fraction,
                    {{"storage", c.name}, {"m", std::to_string(sizes.m)}});
@@ -475,8 +458,7 @@ int main() {
   std::printf("%s\n", update_table.ToString().c_str());
   std::printf("# target: arena_pages <= 1.25x flat at m >= 1M, steady state "
               "(ISSUE 5 exclusive-epoch flat path; was the ISSUE 4 1.25x "
-              "goal); heap_pages is the PR 3 layout tax, kept as the "
-              "no-runs fallback\n\n");
+              "goal)\n\n");
 
   // -----------------------------------------------------------------------
   // Publish-interval sweep (ISSUE 5 satellite): "the COW tax is
@@ -557,8 +539,7 @@ int main() {
     for (int run = 0; run < 2; ++run) {
       const RunResult r =
           RunIngestion(sizes, /*shards=*/1, /*snapshot_interval=*/0,
-                       engine::SnapshotMode::kCow, events,
-                       engine::PageAllocatorKind::kArena);
+                       engine::SnapshotMode::kCow, events);
       best = std::max(best, r.events_per_sec);
     }
     obs_eps[enabled ? 1 : 0] = best;

@@ -29,18 +29,6 @@ enum class SnapshotMode : uint8_t {
   kCow,
 };
 
-/// Where a shard's COW storage pages come from (core/page_arena.h).
-enum class PageAllocatorKind : uint8_t {
-  /// The build's default: a per-shard hugepage arena, except in ASan /
-  /// forced-heap builds (SPROFILE_HEAP_PAGES_DEFAULT) where it is the
-  /// per-page heap so the sanitizer sees page lifetimes individually.
-  kDefault,
-  /// A per-shard hugepage arena, unconditionally.
-  kArena,
-  /// One heap allocation per page, unconditionally.
-  kHeap,
-};
-
 /// What a producer does when a shard's ingestion ring stays full (the
 /// degradation ladder's overload rung; docs/ROBUSTNESS.md).
 enum class OverloadPolicy : uint8_t {
@@ -57,18 +45,6 @@ enum class OverloadPolicy : uint8_t {
   /// drop the remainder as in kShed. Bounds producer latency (measured
   /// in the sprofile_engine_ring_push_wait_ns histogram).
   kDeadline,
-};
-
-/// Memory placement for pinned shard workers.
-enum class NumaPolicy : uint8_t {
-  /// No placement policy: the OS decides.
-  kNone,
-  /// Shard storage lands on the worker's NUMA node: each worker constructs
-  /// (and first-touches) its own profile after pinning, and
-  /// SPROFILE_HAVE_NUMA builds additionally bind arena mappings with
-  /// libnuma. Requires pin_threads (placement is meaningless for a
-  /// floating thread).
-  kLocal,
 };
 
 /// Tuning knobs for ShardedProfiler. Aggregate, so call sites can spell
@@ -103,21 +79,12 @@ struct EngineOptions {
   /// O(m_s) clone.
   SnapshotMode snapshot_mode = SnapshotMode::kCow;
 
-  /// Page storage for each shard's profile (see PageAllocatorKind).
-  /// Ignored by backends that do not take an injected allocator.
-  PageAllocatorKind page_allocator = PageAllocatorKind::kDefault;
-
-  /// Steady-state arena mapping size for arena-backed shards. Must be a
-  /// multiple of the 4 KiB base page, in [64 KiB, 1 GiB]. 2 MiB — one
-  /// x86-64 huge page — is the default.
-  uint64_t arena_bytes = uint64_t{2} << 20;
-
   /// Pin each shard's worker thread to its own core (shard s -> core s).
-  /// Requires shards <= the machine's hardware concurrency.
+  /// Requires shards <= the machine's hardware concurrency. The worker
+  /// constructs its backend after pinning, so a backend with a per-shard
+  /// arena (every allocator-aware backend gets one) first-touches its
+  /// pages from the core that will run every update.
   bool pin_threads = false;
-
-  /// Memory placement for pinned workers (see NumaPolicy).
-  NumaPolicy numa_policy = NumaPolicy::kNone;
 
   /// Has no effect: shard backends replay every drained batch in arrival
   /// order (FrequencyProfile::ApplyBatch). Kept, with its
@@ -160,24 +127,6 @@ struct EngineOptions {
           "engine drain_batch must be in [1, queue_capacity], got " +
           std::to_string(drain_batch));
     }
-    if (page_allocator != PageAllocatorKind::kDefault &&
-        page_allocator != PageAllocatorKind::kArena &&
-        page_allocator != PageAllocatorKind::kHeap) {
-      return Status::InvalidArgument(
-          "engine page_allocator is not a PageAllocatorKind value: " +
-          std::to_string(static_cast<unsigned>(page_allocator)));
-    }
-    if (arena_bytes % kArenaBytesUnit != 0) {
-      return Status::InvalidArgument(
-          "engine arena_bytes must be a multiple of the 4 KiB base page, "
-          "got " + std::to_string(arena_bytes));
-    }
-    if (arena_bytes < kMinArenaBytes || arena_bytes > kMaxArenaBytes) {
-      return Status::InvalidArgument(
-          "engine arena_bytes must be in [" + std::to_string(kMinArenaBytes) +
-          ", " + std::to_string(kMaxArenaBytes) + "], got " +
-          std::to_string(arena_bytes));
-    }
     if (pin_threads) {
       const uint32_t cores = std::thread::hardware_concurrency();
       // hardware_concurrency may legitimately report 0 ("unknown"); only a
@@ -188,11 +137,6 @@ struct EngineOptions {
             " shards exceeds the " + std::to_string(cores) +
             " available cores");
       }
-    }
-    if (numa_policy != NumaPolicy::kNone && numa_policy != NumaPolicy::kLocal) {
-      return Status::InvalidArgument(
-          "engine numa_policy is not a NumaPolicy value: " +
-          std::to_string(static_cast<unsigned>(numa_policy)));
     }
     if (pause_sample_capacity == 0 ||
         pause_sample_capacity > kMaxPauseSampleCapacity) {
@@ -220,20 +164,12 @@ struct EngineOptions {
           std::to_string(kMaxPushDeadlineUs) + "] under overload_policy="
           "deadline, got " + std::to_string(push_deadline_us));
     }
-    if (numa_policy == NumaPolicy::kLocal && !pin_threads) {
-      return Status::InvalidArgument(
-          "numa_policy=local requires pin_threads: node-local placement is "
-          "meaningless for a floating worker");
-    }
     return Status::OK();
   }
 
   static constexpr uint32_t kMaxShards = 4096;
   // 2^24 ring cells x 16 bytes (Event + sequence word) = 256 MiB per shard.
   static constexpr uint32_t kMaxQueueCapacity = 1u << 24;
-  static constexpr uint64_t kArenaBytesUnit = 4096;
-  static constexpr uint64_t kMinArenaBytes = 64 * 1024;
-  static constexpr uint64_t kMaxArenaBytes = uint64_t{1} << 30;
   // 2^20 samples x 8 bytes = 8 MiB per shard at the extreme.
   static constexpr uint32_t kMaxPauseSampleCapacity = 1u << 20;
   // 60 s: far beyond any sane producer budget, small enough that a typo

@@ -166,13 +166,12 @@ struct ShardHealth {
 
 namespace internal {
 
-/// Builds the per-shard arena allocator (NUMA binding included). Defined
-/// out of line in src/engine/sharded_profiler.cc so this public header
-/// does not reach into core/page_arena.h — the splint facade-includes
-/// rule (tools/lint/README.md) holds the boundary.
-cow::PageAllocatorRef MakeEngineArenaAllocator(const EngineOptions& options,
-                                               int pin_core,
-                                               uint64_t footprint_bytes);
+/// Builds the per-shard arena allocator, its first mapping sized to the
+/// shard's expected storage footprint. Defined out of line in
+/// src/engine/sharded_profiler.cc so this public header does not reach
+/// into core/page_arena.h — the splint facade-includes rule
+/// (tools/lint/README.md) holds the boundary.
+cow::PageAllocatorRef MakeEngineArenaAllocator(uint64_t footprint_bytes);
 
 /// One shard: the ingestion queue, the worker thread that drains it, the
 /// live (worker-private) profile, and the published snapshot.
@@ -186,8 +185,8 @@ class ShardWorker {
  public:
   /// The backend is NOT constructed here: `factory` runs on the worker
   /// thread after it has (optionally) pinned itself, so the profile's
-  /// arena pages are first touched — and therefore NUMA-placed — on the
-  /// core that will run every update (EngineOptions::numa_policy).
+  /// arena pages are first touched — and therefore placed by the kernel —
+  /// on the core that will run every update (EngineOptions::pin_threads).
   /// Callers must WaitReady() before reading snapshots.
   ShardWorker(std::function<Backend()> factory, const EngineOptions& options,
               uint32_t shard_index, int pin_core,
@@ -428,8 +427,7 @@ class ShardWorker {
     try {
       // Construct the backend on THIS thread: with an arena allocator the
       // construction loop is the first touch of every storage page, which
-      // places the mapping node-local under a pinned worker (the
-      // libnuma-free half of numa_policy=local).
+      // places the mapping node-local under a pinned worker.
       live_.emplace(factory_());
       factory_ = nullptr;  // release captured state (restored backends)
       Publish(/*record_pause=*/false);  // the epoch-0 snapshot
@@ -765,9 +763,7 @@ class ShardedProfilerT {
     for (uint32_t s = 0; s < options_.shards; ++s) {
       const uint32_t shard_capacity =
           ShardCapacity(capacity, options_.shards, s);
-      const int core = PinCoreFor(s);
-      cow::PageAllocatorRef alloc =
-          MakeShardAllocator(options_, core, shard_capacity);
+      cow::PageAllocatorRef alloc = MakeShardAllocator(shard_capacity);
       std::function<Backend()> factory;
       if constexpr (AllocatorAwareBackend<Backend>) {
         factory = [shard_capacity, alloc] {
@@ -777,7 +773,7 @@ class ShardedProfilerT {
         factory = [shard_capacity] { return Backend(shard_capacity); };
       }
       shards_.push_back(std::make_unique<internal::ShardWorker<Backend>>(
-          std::move(factory), options_, s, core, std::move(alloc)));
+          std::move(factory), options_, s, PinCoreFor(s), std::move(alloc)));
     }
     WaitAllReady();
     RegisterObsGauges();
@@ -786,7 +782,7 @@ class ShardedProfilerT {
   /// Rebuilds an engine from per-shard backends (snapshot restore).
   /// backends.size() must equal options.shards and each backend's capacity
   /// must match the stride partition of `capacity`. The backends carry
-  /// their own storage (options.page_allocator does not re-seat them).
+  /// their own storage (no per-shard arena is made for them).
   ShardedProfilerT(std::vector<Backend> backends, uint32_t capacity,
                    const EngineOptions& options)
       : capacity_(capacity), options_(options) {
@@ -1268,45 +1264,27 @@ class ShardedProfilerT {
     }
   }
 
-  /// Per-shard allocator per options.page_allocator; null for backends
-  /// without an allocator seam (they construct their own storage).
+  /// Per-shard arena allocator; null for backends without an allocator
+  /// seam (they construct their own storage).
   ///
   /// `shard_capacity` sizes the FIRST arena mapping to the shard's
-  /// expected storage footprint (clamped to [64 KiB, arena_bytes]): a
-  /// shard whose data is hugepage-sized starts on a hugepage-eligible
-  /// mapping instead of climbing the 64 KiB doubling ladder — which made
-  /// `hugepage_arenas` depend on where the ladder happened to stop (the
-  /// ISSUE 5 "0 at 8 shards" report: small per-shard m simply never
-  /// reached a 2 MiB arena; see MemoryStats docs).
-  static cow::PageAllocatorRef MakeShardAllocator(const EngineOptions& options,
-                                                  int pin_core,
-                                                  uint32_t shard_capacity) {
+  /// expected storage footprint (clamped to [64 KiB, 2 MiB]): a shard
+  /// whose data is hugepage-sized starts on a hugepage-eligible mapping
+  /// instead of climbing the 64 KiB doubling ladder — which made
+  /// `hugepage_arenas` depend on where the ladder happened to stop (at 8
+  /// shards, small per-shard m simply never reached a 2 MiB arena; see
+  /// MemoryStats docs).
+  static cow::PageAllocatorRef MakeShardAllocator(uint32_t shard_capacity) {
     if constexpr (!AllocatorAwareBackend<Backend>) {
-      (void)pin_core;
+      (void)shard_capacity;
       return nullptr;
     } else {
-      bool arena;
-      switch (options.page_allocator) {
-        case PageAllocatorKind::kArena:
-          arena = true;
-          break;
-        case PageAllocatorKind::kHeap:
-          arena = false;
-          break;
-        case PageAllocatorKind::kDefault:
-        default:
-          // The build default: arenas, except where the sanitizer needs
-          // per-page allocations (SPROFILE_HEAP_PAGES_DEFAULT).
-          arena = !SPROFILE_HEAP_PAGES_DEFAULT;
-          break;
-      }
-      if (!arena) return std::make_shared<cow::HeapPageAllocator>();
       // The default backend's per-slot storage cost (an estimate for
       // other allocator-aware backends) sizes the first mapping; the
       // arena construction itself lives out of line so this facade
       // header need not include core/page_arena.h.
       return internal::MakeEngineArenaAllocator(
-          options, pin_core, ProfileFootprintBytes(shard_capacity));
+          ProfileFootprintBytes(shard_capacity));
     }
   }
 

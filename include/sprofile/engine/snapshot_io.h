@@ -34,7 +34,10 @@
 // file, loads each profile (checksummed by profile_io), and rebuilds a
 // running engine. The shard count comes from the manifest; the caller's
 // EngineOptions supplies the runtime knobs (queues, batches, snapshot
-// mode) and its `shards` field is ignored.
+// mode, pinning) and its `shards` field is ignored. A restored shard keeps
+// the allocator its loaded profile picked for its footprint (an arena
+// from 256 KiB of storage up, the shared heap below) instead of the
+// per-shard arena a freshly constructed engine gives every shard.
 
 #ifndef SPROFILE_SPROFILE_ENGINE_SNAPSHOT_IO_H_
 #define SPROFILE_SPROFILE_ENGINE_SNAPSHOT_IO_H_

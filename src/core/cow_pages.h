@@ -13,8 +13,8 @@
 // operation and bounds the engine's snapshot-publish pause (previously an
 // O(m) stop-the-shard clone; see docs/ENGINE.md).
 //
-// THE EXCLUSIVE-EPOCH FLAT VIEW (ISSUE 5). Allocators that support it
-// (cow::ArenaPageAllocator) hand out pages in *runs*: one block whose
+// THE EXCLUSIVE-EPOCH FLAT VIEW. A PagedArray lays its pages out in
+// *runs*: one block whose
 // page payloads are carved ADJACENTLY, so when the array owns every page
 // exclusively and each sits in its home run slot — the common steady
 // state between snapshot publications — element i lives at a fixed
@@ -30,16 +30,15 @@
 // run falls back to standalone pages; re-flattening then consolidates
 // into a doubled run (amortized O(1) per appended element).
 //
-// Storage comes from an injectable PageAllocator:
-//   - HeapPageAllocator: one aligned operator-new block per page. The
-//     fallback for sanitizer builds (ASan sees every page as a distinct
-//     allocation) and the default for small arrays. Runs are DISABLED
-//     here (SupportsRuns() == false): the flat view never engages, every
-//     other behavior is identical.
+// Storage comes from an injectable PageAllocator. Every block is one
+// allocation, so a run is a run on any allocator — the layout above is
+// the only one, in every build:
+//   - HeapPageAllocator: one aligned operator-new block per request. The
+//     default for small arrays, and the degradation rung under a refusing
+//     primary allocator.
 //   - cow::ArenaPageAllocator (core/page_arena.h): blocks carved out of
-//     madvise(MADV_HUGEPAGE) arenas; run blocks of one array are a
-//     single carve, which is what makes the flat view a pointer + bounds
-//     rather than a copy (ROADMAP "delete the page-table indirection").
+//     madvise(MADV_HUGEPAGE) arenas, poisoned for ASan while free or
+//     uncarved.
 // Every PagedArray holds a shared reference to its allocator, so pages
 // can be released from any thread that drops a snapshot: the allocator
 // outlives every page it handed out.
@@ -102,21 +101,6 @@
 #include "sprofile/obs/trace_ring.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
-
-// Builds where the per-page heap allocator must stay the default so the
-// sanitizer sees page lifetimes individually: explicit opt-out
-// (-DSPROFILE_FORCE_HEAP_PAGES, wired to the CMake option of the same
-// name) or any AddressSanitizer build.
-#if defined(SPROFILE_FORCE_HEAP_PAGES) || defined(__SANITIZE_ADDRESS__)
-#define SPROFILE_HEAP_PAGES_DEFAULT 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SPROFILE_HEAP_PAGES_DEFAULT 1
-#endif
-#endif
-#ifndef SPROFILE_HEAP_PAGES_DEFAULT
-#define SPROFILE_HEAP_PAGES_DEFAULT 0
-#endif
 
 namespace sprofile {
 namespace cow {
@@ -228,13 +212,6 @@ class PageAllocator {
   /// not a consistent cut).
   virtual PageAllocStats Stats() const = 0;
 
-  /// True when PagedArray may carve multi-page runs (the contiguous
-  /// layout behind the exclusive-epoch flat view) from this allocator.
-  /// Default false: per-page blocks, no flat view, the PR-3 behavior.
-  /// HeapPageAllocator keeps this false on purpose — one allocation per
-  /// page is what gives ASan page-exact lifetime reports.
-  virtual bool SupportsRuns() const { return false; }
-
   /// PagedArray reports each COW page fault here so MemoryStats can
   /// surface the post-publish write tax.
   /// orders: relaxed — a statistics counter; no data is published through
@@ -254,11 +231,8 @@ class PageAllocator {
 
 using PageAllocatorRef = std::shared_ptr<PageAllocator>;
 
-/// One aligned operator-new block per page. Thread-safe (the system
-/// allocator is), and the right default under ASan: every page is an
-/// individually tracked allocation, so leaks and use-after-frees in the
-/// refcount discipline surface with page-exact reports. No runs, so no
-/// flat view (SupportsRuns() above).
+/// One aligned operator-new block per request (a whole run, or one
+/// standalone page). Thread-safe (the system allocator is).
 class HeapPageAllocator final : public PageAllocator {
  public:
   void* Allocate(size_t bytes) override {
@@ -518,8 +492,8 @@ class PagedArray {
     size_ = 0;
   }
 
-  /// Pre-sizes the page TABLE, and — on run-capable allocators — carves
-  /// the home run for n elements up front so growth stays flat.
+  /// Pre-sizes the page TABLE and carves the home run for n elements up
+  /// front so growth stays flat.
   void reserve(size_t n) {
     pages_.reserve(PageCountFor(n));
     ctrls_.reserve(PageCountFor(n));
@@ -527,8 +501,8 @@ class PagedArray {
   }
 
   /// An independent deep copy: O(n) page copies, shares nothing. Pages
-  /// come from the same allocator; on run-capable allocators the clone is
-  /// born flat (one contiguous run).
+  /// come from the same allocator; the clone is born flat (one contiguous
+  /// run).
   PagedArray DeepClone() const {
     PagedArray out(alloc_, 0);
     out.SetGeometry(page_elems_);
@@ -566,7 +540,6 @@ class PagedArray {
   /// Returns flat().
   bool EnsureFlat() {
     if (flat_) return true;
-    if (!alloc_->SupportsRuns()) return false;
     if (pages_.empty()) {
       // A witness armed before the array was emptied would otherwise keep
       // its pinned page block (and potentially its arena) alive for the
@@ -656,7 +629,6 @@ class PagedArray {
   /// writer should keep polling plain EnsureFlat instead. Returns flat().
   bool ForceFlat() {
     if (EnsureFlat()) return true;
-    if (!alloc_->SupportsRuns()) return false;
     ClearWitness();
     for (size_t p = 0; p < pages_.size(); ++p) {
       // orders: acquire pairs with UnrefPage's release fetch_sub, same as
@@ -868,7 +840,7 @@ class PagedArray {
   }
 
   void MaybeCreateHomeRun(size_t want_pages) {
-    if (run_ != nullptr || want_pages == 0 || !alloc_->SupportsRuns()) return;
+    if (run_ != nullptr || want_pages == 0) return;
     AllocateRun(want_pages, &run_, &run_ctrls_, &run_base_);
     run_capacity_ = want_pages;
     outgrew_run_ = false;
@@ -968,8 +940,8 @@ class PagedArray {
   void FillPage(T* page, const T* src) const {
     if (src == nullptr) {
       // Explicit zeroing (blocks may be recycled, so "fresh" is not
-      // "zero"); doubles as the NUMA first-touch when the owner thread
-      // runs pinned — the zeroing store is the first write to the mapping.
+      // "zero"); doubles as the first touch when the owner thread runs
+      // pinned — the zeroing store is the first write to the mapping.
       std::memset(static_cast<void*>(page), 0, payload_bytes_);
     } else {
       std::memcpy(static_cast<void*>(page), src, payload_bytes_);

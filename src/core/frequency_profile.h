@@ -212,14 +212,14 @@ class FrequencyProfile {
   ///
   /// Storage pages come from `alloc`; passing null picks the default for
   /// the profile's footprint (cow::MakeProfileDefaultAllocator): a private
-  /// hugepage arena for large profiles, the shared heap for small ones,
-  /// and always the heap in ASan / forced-heap builds. Snapshots and
-  /// Clone()s share the allocator, so it outlives every page.
+  /// hugepage arena for large profiles, the shared heap for small ones.
+  /// Snapshots and Clone()s share the allocator, so it outlives every
+  /// page.
   ///
   /// Storage failure model (docs/ROBUSTNESS.md): a recoverable arena
   /// refusal (mmap ENOMEM) never reaches this layer — the page layer
   /// falls back to heap blocks and the profile keeps its full contract,
-  /// merely losing the flat-view locality for the fallback blocks. Only
+  /// merely losing hugepage locality for the fallback blocks. Only
   /// true heap exhaustion escapes, as std::bad_alloc from any allocating
   /// operation (construction, growth, COW fault); the engine catches it
   /// at the shard-worker boundary and quarantines the shard rather than
@@ -450,9 +450,7 @@ class FrequencyProfile {
   /// kReflattenPeriod paged updates). O(1) while a known snapshot still
   /// pins a page (a witness refcount is polled); otherwise O(#pages) plus
   /// one dirty-run copy per page faulted since the last publication.
-  /// Returns storage_flat(). Never available on non-run allocators
-  /// (HeapPageAllocator / ASan builds) — everything else behaves
-  /// identically there.
+  /// Returns storage_flat().
   bool TryReflatten();
 
   /// Updates that ran through the PAGED kernel since construction (the

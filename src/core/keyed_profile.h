@@ -46,8 +46,7 @@ struct KeyedProfileOptions {
   /// frequency_profile.h): a keyed profile grows from zero
   /// capacity, so without the hint it would always land on the shared
   /// heap — sizing initial_capacity to the expected key universe is what
-  /// buys large keyed profiles an arena (and with it the exclusive-epoch
-  /// flat update path).
+  /// buys large keyed profiles a private hugepage arena.
   cow::PageAllocatorRef page_allocator;
 };
 

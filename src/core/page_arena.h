@@ -37,11 +37,10 @@
 //     for whole-arena reclamation. Arena descriptors are never freed
 //     before the allocator (mappings are; descriptors are recycled), so
 //     a racing decrement can never touch unmapped memory.
-//   - NUMA: when built with SPROFILE_HAVE_NUMA (CMake -DSPROFILE_WITH_NUMA=ON
-//     and libnuma present), numa_node >= 0 binds each new mapping to that
-//     node. Without libnuma the engine gets the same effect from first
-//     touch: shard workers construct their profile (and zero its pages)
-//     after pinning, so the kernel places the arena node-local anyway.
+//   - ASan: a mapping is poisoned from creation, a carve unpoisons its
+//     block and a free re-poisons it, so a use-after-free or an overrun
+//     into uncarved space reports like a heap error would. The macros
+//     from <sanitizer/asan_interface.h> compile to nothing outside ASan.
 
 #ifndef SPROFILE_CORE_PAGE_ARENA_H_
 #define SPROFILE_CORE_PAGE_ARENA_H_
@@ -54,6 +53,8 @@
 #include <memory>
 #include <new>
 #include <vector>
+
+#include <sanitizer/asan_interface.h>
 
 #include "core/cow_pages.h"
 #include "sprofile/obs/metrics.h"
@@ -70,10 +71,6 @@
 #define SPROFILE_ARENA_HAVE_MMAP 0
 #endif
 
-#if defined(SPROFILE_HAVE_NUMA)
-#include <numa.h>
-#endif
-
 namespace sprofile {
 namespace cow {
 
@@ -81,7 +78,7 @@ namespace cow {
 inline constexpr size_t kDefaultArenaBytes = size_t{2} << 20;
 
 /// Smallest OS page the arena math assumes (arena sizes must be multiples
-/// of this; EngineOptions::Validate enforces the same rule).
+/// of this).
 inline constexpr size_t kArenaBasePageBytes = 4096;
 
 /// Profiles whose storage footprint is below this default to the shared
@@ -107,10 +104,6 @@ struct ArenaOptions {
   /// cost: max_spare_arenas * arena_bytes per allocator. Set 0 to return
   /// every drained arena to the OS immediately.
   size_t max_spare_arenas = 4;
-
-  /// Bind new mappings to this NUMA node (SPROFILE_HAVE_NUMA builds only;
-  /// -1 = no binding, rely on first touch).
-  int numa_node = -1;
 };
 
 class ArenaPageAllocator final : public PageAllocator {
@@ -163,6 +156,7 @@ class ArenaPageAllocator final : public PageAllocator {
     char* block = arena->base + arena->bump;
     arena->bump += need;
     arena->live.fetch_add(1, std::memory_order_relaxed);
+    ASAN_UNPOISON_MEMORY_REGION(block, kBlockPrelude + bytes);
     *reinterpret_cast<Arena**>(block) = arena;
     pages_allocated_.fetch_add(1, std::memory_order_relaxed);
     bytes_live_.fetch_add(need, std::memory_order_relaxed);
@@ -176,6 +170,10 @@ class ArenaPageAllocator final : public PageAllocator {
     pages_freed_.fetch_add(1, std::memory_order_relaxed);
     bytes_live_.fetch_sub(kBlockPrelude + RoundUp64(bytes),
                           std::memory_order_relaxed);
+    // Poisoned before the decrement: once live can reach zero the arena
+    // may be recycled and re-carved, and this thread must not poison a
+    // block someone else now owns.
+    ASAN_POISON_MEMORY_REGION(prelude, kBlockPrelude + RoundUp64(bytes));
     // orders: release here pairs with the acquire re-checks in
     // MaybeReclaim and SealCurrentLocked — the freeing thread's last
     // touch of the mapping happens-before unmap.
@@ -183,11 +181,6 @@ class ArenaPageAllocator final : public PageAllocator {
       MaybeReclaim(arena);
     }
   }
-
-  /// Arena blocks are single carves, so a PagedArray may lay a whole
-  /// run's payloads adjacently inside one — the layout behind the
-  /// exclusive-epoch flat view (core/cow_pages.h).
-  bool SupportsRuns() const override { return true; }
 
   PageAllocStats Stats() const override {
     PageAllocStats s;
@@ -331,6 +324,8 @@ class ArenaPageAllocator final : public PageAllocator {
   }
 
   void UnmapLocked(Arena* arena) noexcept SPROFILE_REQUIRES(mu_) {
+    // The next mapping at this address must not inherit stale poison.
+    ASAN_UNPOISON_MEMORY_REGION(arena->base, arena->bytes);
 #if SPROFILE_ARENA_HAVE_MMAP
     munmap(arena->base, arena->bytes);
 #else
@@ -372,14 +367,12 @@ class ArenaPageAllocator final : public PageAllocator {
       *huge = madvise(base, bytes, MADV_HUGEPAGE) == 0;
     }
 #endif
-#if defined(SPROFILE_HAVE_NUMA)
-    if (options_.numa_node >= 0 && numa_available() >= 0) {
-      numa_tonode_memory(base, bytes, options_.numa_node);
-    }
-#endif
+    ASAN_POISON_MEMORY_REGION(base, bytes);  // uncarved until Allocate
     return static_cast<char*>(base);
 #else
-    return static_cast<char*>(::operator new(bytes, std::align_val_t{64}));
+    void* base = ::operator new(bytes, std::align_val_t{64});
+    ASAN_POISON_MEMORY_REGION(base, bytes);
+    return static_cast<char*>(base);
 #endif
   }
 
@@ -430,20 +423,13 @@ inline ArenaOptions ArenaOptionsForFootprint(uint64_t footprint_bytes,
 /// The default allocator for a profile expected to hold about
 /// `footprint_bytes_hint` bytes of paged storage: a private arena for
 /// profiles big enough to profit from contiguity, the shared heap for
-/// small ones — and always the heap in sanitizer / forced-heap builds
-/// (SPROFILE_HEAP_PAGES_DEFAULT), where per-page allocations are what
-/// give ASan page-exact reports.
+/// small ones.
 inline PageAllocatorRef MakeProfileDefaultAllocator(
     uint64_t footprint_bytes_hint) {
-#if SPROFILE_HEAP_PAGES_DEFAULT
-  (void)footprint_bytes_hint;
-  return GlobalHeapPageAllocator();
-#else
   if (footprint_bytes_hint < kArenaDefaultMinBytes) {
     return GlobalHeapPageAllocator();
   }
   return MakeArenaPageAllocator(ArenaOptionsForFootprint(footprint_bytes_hint));
-#endif
 }
 
 }  // namespace cow

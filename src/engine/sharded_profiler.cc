@@ -15,23 +15,12 @@ namespace sprofile {
 namespace engine {
 namespace internal {
 
-cow::PageAllocatorRef MakeEngineArenaAllocator(const EngineOptions& options,
-                                               int pin_core,
-                                               uint64_t footprint_bytes) {
-  (void)pin_core;
-  cow::ArenaOptions ao;
-  ao.arena_bytes = static_cast<size_t>(options.arena_bytes);
+cow::PageAllocatorRef MakeEngineArenaAllocator(uint64_t footprint_bytes) {
   // Size the first arena mapping to the shard's expected storage footprint
   // (clamped to [64 KiB, arena_bytes]) so hugepage-sized shards start on a
   // hugepage-eligible mapping instead of climbing the doubling ladder.
-  ao = cow::ArenaOptionsForFootprint(footprint_bytes, ao);
-#if defined(SPROFILE_HAVE_NUMA)
-  if (options.numa_policy == NumaPolicy::kLocal && pin_core >= 0 &&
-      numa_available() >= 0) {
-    ao.numa_node = numa_node_of_cpu(pin_core);
-  }
-#endif
-  return cow::MakeArenaPageAllocator(ao);
+  return cow::MakeArenaPageAllocator(
+      cow::ArenaOptionsForFootprint(footprint_bytes));
 }
 
 }  // namespace internal

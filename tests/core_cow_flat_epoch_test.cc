@@ -10,8 +10,8 @@
 //     since the fault returns home), growth consolidation, and the pin
 //     witness — including the regression where a re-faulted witness page
 //     retired under the watcher.
-//   - the heap-allocator fallback (ASan / SPROFILE_FORCE_HEAP_PAGES):
-//     flat never engages, everything else identical.
+//   - the heap allocator: its blocks hold runs too, so the same epochs
+//     engage on heap pages as on arena pages.
 //
 // The file name carries both "core" and "cow" on purpose: the ASan CI leg
 // runs -R "engine|core", the TSan leg -R "engine|cow|arena" — this suite
@@ -337,29 +337,33 @@ TEST(FlatEpochPagedArrayTest, WitnessPinReleasedWhenWatchedPageFaultsAway) {
   EXPECT_EQ(a[0], 2u);
 }
 
-TEST(FlatEpochPagedArrayTest, HeapAllocatorNeverFlat) {
-  // Satellite: the HeapPageAllocator path (ASan builds,
-  // SPROFILE_FORCE_HEAP_PAGES) must keep the flat view disabled and
-  // behave identically otherwise.
+TEST(FlatEpochPagedArrayTest, HeapAllocatorRunsTheSameEpochs) {
+  // A heap block holds a run as well as an arena carve does: the array
+  // is born flat in one block, a snapshot ends the epoch, and dropping
+  // the snapshot lets it re-flatten.
   auto alloc = std::make_shared<cow::HeapPageAllocator>();
   cow::PagedArray<uint64_t> a(alloc, 2048);
   a.resize(2048);
-  EXPECT_FALSE(alloc->SupportsRuns());
-  EXPECT_FALSE(a.EnsureFlat());
-  EXPECT_FALSE(a.flat());
-  for (size_t i = 0; i < a.size(); ++i) a.Mutable(i) = i;
-  const cow::PagedArray<uint64_t> snap = a;
-  a.Mutable(3) = 999;
-  EXPECT_EQ(snap[3], 3u);
-  EXPECT_EQ(a[3], 999u);
-  EXPECT_FALSE(a.EnsureFlat());
+  ASSERT_TRUE(a.EnsureFlat());
+  EXPECT_EQ(alloc->Stats().pages_allocated, 1u) << "one home run";
+  for (size_t i = 0; i < a.size(); ++i) a.flat_data()[i] = i;
+  {
+    const cow::PagedArray<uint64_t> snap = a;
+    a.Mutable(3) = 999;
+    EXPECT_EQ(snap[3], 3u);
+    EXPECT_EQ(a[3], 999u);
+    EXPECT_FALSE(a.EnsureFlat()) << "the snapshot still pins page 0";
+  }
+  ASSERT_TRUE(a.EnsureFlat());
+  EXPECT_EQ(a.flat_data()[3], 999u);
+  EXPECT_EQ(a.DisplacedPageCount(), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // FrequencyProfile-level property test: adversarial interleave of
 // updates, batches, snapshots, snapshot drops, and re-flatten probes,
-// checked against a deep-copy oracle. Runs on both allocators — the
-// arena engages the flat kernel, the heap pins the paged fallback.
+// checked against a deep-copy oracle. Runs on both allocators; both
+// engage the flat kernel.
 // ---------------------------------------------------------------------------
 
 struct HeldSnapshot {
@@ -367,8 +371,7 @@ struct HeldSnapshot {
   std::vector<int64_t> expected;
 };
 
-void RunEpochInterleave(cow::PageAllocatorRef alloc, bool expect_flat_possible,
-                        uint64_t seed) {
+void RunEpochInterleave(cow::PageAllocatorRef alloc, uint64_t seed) {
   constexpr uint32_t kM = 1500;
   constexpr int kOps = 30000;
   FrequencyProfile p(kM, std::move(alloc));
@@ -459,27 +462,21 @@ void RunEpochInterleave(cow::PageAllocatorRef alloc, bool expect_flat_possible,
   // ApplyBatch skips adjacent inverse pairs, so applied +/-1 steps can be
   // fewer than raw events — compare with that slack in mind.
   EXPECT_LE(p.paged_updates(), total_updates);
-  if (expect_flat_possible) {
-    EXPECT_GT(flat_seen, 0u) << "flat epoch never observed";
-    // With every snapshot gone the flat epoch must be reachable, and the
-    // answers identical across the final transition.
-    EXPECT_TRUE(p.TryReflatten());
-    EXPECT_EQ(p.ToFrequencies(), oracle.ToFrequencies());
-  } else {
-    EXPECT_EQ(flat_seen, 0u) << "heap pages must never go flat";
-    EXPECT_FALSE(p.TryReflatten());
-  }
+  EXPECT_GT(flat_seen, 0u) << "flat epoch never observed";
+  // With every snapshot gone the flat epoch must be reachable, and the
+  // answers identical across the final transition.
+  EXPECT_TRUE(p.TryReflatten());
+  EXPECT_EQ(p.ToFrequencies(), oracle.ToFrequencies());
   ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
 }
 
 TEST(FlatEpochProfilePropertyTest, ArenaInterleaveMatchesOracle) {
-  RunEpochInterleave(SmallArena(), /*expect_flat_possible=*/true, 20260730);
-  RunEpochInterleave(SmallArena(), /*expect_flat_possible=*/true, 99417);
+  RunEpochInterleave(SmallArena(), 20260730);
+  RunEpochInterleave(SmallArena(), 99417);
 }
 
 TEST(FlatEpochProfilePropertyTest, HeapInterleaveMatchesOracle) {
-  RunEpochInterleave(std::make_shared<cow::HeapPageAllocator>(),
-                     /*expect_flat_possible=*/false, 20260730);
+  RunEpochInterleave(std::make_shared<cow::HeapPageAllocator>(), 20260730);
 }
 
 TEST(FlatEpochProfilePropertyTest, PeelAndInsertInterleaveStaysConsistent) {

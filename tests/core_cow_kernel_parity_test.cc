@@ -4,9 +4,11 @@
 // per-id counter oracle under randomized update/snapshot interleavings.
 //
 // Gates, in order of importance:
-//   - ORACLE PARITY after every batch, on arena pages (where the flat
-//     epoch and its prefetch staging run) and on heap pages (no runs, so
-//     the paged kernel replays everything).
+//   - ORACLE PARITY after every batch, on arena pages and on heap pages.
+//     Both run the flat epoch and its prefetch staging; the heap stream
+//     holds a snapshot of the empty profile for its whole length, so it
+//     replays through the paged kernel from the first batch until the
+//     forced reflatten.
 //   - BENCHMARK-SCALE m: 2^19 ids (one shard of the repository
 //     benchmark's 2^20) under Zipf and adjacent-pair streams in
 //     drain-sized batches, so the warm pass and the lookahead run over a
@@ -68,12 +70,17 @@ int64_t Sum(const std::vector<int64_t>& v) {
 
 // Drives one seeded interleaving of ApplyBatch / singles / snapshot
 // take+drop against a plain counter oracle, checking the whole profile
-// after every batch.
-void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed) {
+// after every batch. With `pin_from_start`, a snapshot of the empty
+// profile is held across the whole stream, so the first batches replay
+// through the paged kernel.
+void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed,
+                         bool pin_from_start = false) {
   FrequencyProfile p(kM, std::move(alloc));
   std::vector<int64_t> oracle(kM, 0);
   std::deque<HeldSnapshot> held;
   Xoshiro256PlusPlus rng(seed);
+  std::optional<HeldSnapshot> pin;
+  if (pin_from_start) pin.emplace(HeldSnapshot{p.Snapshot(), oracle});
 
   for (int b = 0; b < kBatches; ++b) {
     const uint32_t r = rng.NextBounded(100);
@@ -145,6 +152,11 @@ void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed) {
     ASSERT_EQ(h.snap.ToFrequencies(), h.expected)
         << "held snapshot diverged (seed=" << seed << ")";
   }
+  if (pin) {
+    EXPECT_GT(p.paged_updates(), 0u) << "seed=" << seed;
+    ASSERT_EQ(pin->snap.ToFrequencies(), pin->expected)
+        << "whole-stream snapshot diverged (seed=" << seed << ")";
+  }
 }
 
 constexpr uint64_t kSeeds[] = {20260808, 97, 1, 424242, 7777, 31337};
@@ -157,11 +169,11 @@ TEST(BatchParityPropertyTest, ArenaMatchesOracle) {
 }
 
 TEST(BatchParityPropertyTest, HeapMatchesOracle) {
-  // SupportsRuns() == false: the flat epoch never engages, so no prefetch
-  // staging runs and every batch replays through the paged kernel.
+  // The whole-stream snapshot ends the flat epoch before the first batch:
+  // the paged kernel replays until the forced reflatten takes over.
   for (const uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
-    RunParityInterleave(Heap(), seed);
+    RunParityInterleave(Heap(), seed, /*pin_from_start=*/true);
   }
 }
 
@@ -196,7 +208,7 @@ std::vector<Event> LargeBatch(Shape shape, const stream::ZipfIdDistribution& zip
   return batch;
 }
 
-void RunLargeM(cow::PageAllocatorRef alloc, Shape shape, bool expect_flat) {
+void RunLargeM(cow::PageAllocatorRef alloc, Shape shape) {
   FrequencyProfile p(kLargeM, std::move(alloc));
   std::vector<int64_t> oracle(kLargeM, 0);
   const stream::ZipfIdDistribution zipf(kLargeM, 1.1);
@@ -220,29 +232,25 @@ void RunLargeM(cow::PageAllocatorRef alloc, Shape shape, bool expect_flat) {
     }
   }
   ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
-  if (expect_flat) {
-    // Most updates ran flat, i.e. behind the warm pass and the lookahead.
-    EXPECT_LT(p.paged_updates(), applied / 4);
-    EXPECT_TRUE(p.TryReflatten());
-  } else {
-    EXPECT_FALSE(p.storage_flat());
-  }
+  // Most updates ran flat, i.e. behind the warm pass and the lookahead.
+  EXPECT_LT(p.paged_updates(), applied / 4);
+  EXPECT_TRUE(p.TryReflatten());
 }
 
 TEST(BatchParityLargeMTest, ZipfArena) {
-  RunLargeM(cow::MakeArenaPageAllocator(), Shape::kZipf, /*expect_flat=*/true);
+  RunLargeM(cow::MakeArenaPageAllocator(), Shape::kZipf);
 }
 
 TEST(BatchParityLargeMTest, PairsArena) {
-  RunLargeM(cow::MakeArenaPageAllocator(), Shape::kPairs, /*expect_flat=*/true);
+  RunLargeM(cow::MakeArenaPageAllocator(), Shape::kPairs);
 }
 
 TEST(BatchParityLargeMTest, ZipfHeap) {
-  RunLargeM(Heap(), Shape::kZipf, /*expect_flat=*/false);
+  RunLargeM(Heap(), Shape::kZipf);
 }
 
 TEST(BatchParityLargeMTest, PairsHeap) {
-  RunLargeM(Heap(), Shape::kPairs, /*expect_flat=*/false);
+  RunLargeM(Heap(), Shape::kPairs);
 }
 
 // ---------------------------------------------------------------------------
@@ -279,15 +287,19 @@ TEST(KernelParityForceFlatTest, PagedArrayForceFlatEvictsPinnedSnapshot) {
   }
 }
 
-TEST(KernelParityForceFlatTest, HeapForceFlatStaysPaged) {
+TEST(KernelParityForceFlatTest, HeapForceFlatEvictsPinnedSnapshot) {
   auto alloc = Heap();
   cow::PagedArray<uint64_t> a(alloc, 1024);
   a.resize(1024);
   const cow::PagedArray<uint64_t> snap = a;
   a.Mutable(3) = 33;
-  EXPECT_FALSE(a.ForceFlat()) << "no runs: force must refuse, not crash";
+  ASSERT_FALSE(a.EnsureFlat()) << "gentle probe must stay pinned";
+  ASSERT_TRUE(a.ForceFlat());
   EXPECT_EQ(a[3], 33u);
+  EXPECT_EQ(a.flat_data()[3], 33u);
+  a.flat_data()[5] = 55;
   EXPECT_EQ(snap[3], 0u);
+  EXPECT_EQ(snap[5], 0u);
 }
 
 TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {

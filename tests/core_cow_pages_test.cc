@@ -156,7 +156,9 @@ TEST(CowPagedArrayTest, InjectedAllocatorBacksEveryPageAndCountsFaults) {
     PagedArray<uint32_t> a(alloc, 3 * kElems);
     a.resize(3 * kElems);
     EXPECT_EQ(a.page_allocator().get(), alloc.get());
-    EXPECT_EQ(alloc->Stats().pages_allocated, a.num_pages());
+    EXPECT_GT(a.num_pages(), 1u);
+    EXPECT_EQ(alloc->Stats().pages_allocated, 1u)
+        << "every page sits in one home run block";
     const PagedArray<uint32_t> snap = a;
     a.Mutable(0) = 1;  // faults page 0
     a.Mutable(1) = 2;  // same page: no second fault

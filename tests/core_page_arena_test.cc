@@ -11,15 +11,17 @@
 //     answers exactly like one on heap pages.
 //   - block mechanics: alignment, stats accounting, doubling growth,
 //     oversized requests, spare-mapping reuse.
+//   - ASan poisoning: freed blocks and uncarved arena space read as
+//     poisoned, a re-carved block does not (skipped outside ASan).
 //   - AdaptivePageElems geometry.
 //
-// Runs under ASan in CI (the arena itself is exercised even though the
-// *default* allocator there is the heap) and under TSan via the
-// concurrent torture test.
+// Runs under ASan in CI (the default allocator there is the arena, as in
+// every build) and under TSan via the concurrent torture test.
 
 #include "core/page_arena.h"
 
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <atomic>
 #include <cstdint>
@@ -129,7 +131,6 @@ TEST(ArenaPageAllocatorTest, FootprintSizesFirstArenaForEveryCaller) {
             size_t{256} * 1024);
   EXPECT_EQ(ArenaOptionsForFootprint(1024).first_arena_bytes,
             ArenaOptions{}.first_arena_bytes);
-#if !SPROFILE_HEAP_PAGES_DEFAULT
   // Regression (code review): a STANDALONE profile with a hugepage-sized
   // footprint must also start on a hugepage-eligible mapping instead of
   // climbing the 64 KiB doubling ladder — the footprint sizing used to
@@ -140,7 +141,6 @@ TEST(ArenaPageAllocatorTest, FootprintSizesFirstArenaForEveryCaller) {
   const auto* arena = dynamic_cast<const ArenaPageAllocator*>(def.get());
   ASSERT_NE(arena, nullptr);
   EXPECT_EQ(arena->options().first_arena_bytes, kDefaultArenaBytes);
-#endif
 }
 
 TEST(ArenaPageAllocatorTest, DrainedSealedArenasAreReclaimed) {
@@ -233,6 +233,57 @@ TEST(ArenaPageAllocatorTest, HugepageGaugeStaysConsistentThroughLifecycle) {
         << "gauge must collapse with the last mapping";
   }
   EXPECT_EQ(end.page_bytes_live, 0u);
+}
+
+// ASan sees into arenas: a mapping is poisoned until carved, and a block
+// is poisoned again once freed — including when its drained arena parks
+// as a spare and a later request re-carves the same bytes.
+#if defined(__SANITIZE_ADDRESS__)
+#define ARENA_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ARENA_TEST_ASAN 1
+#endif
+#endif
+
+TEST(ArenaPoisonTest, FreedAndUncarvedBytesArePoisoned) {
+#if defined(ARENA_TEST_ASAN)
+  constexpr size_t kArena = 64 * 1024;
+  constexpr size_t kBig = 40 * 1024;  // two never share one arena
+  ArenaPageAllocator alloc(ArenaOptions{.arena_bytes = kArena,
+                                        .first_arena_bytes = kArena,
+                                        .max_spare_arenas = 1});
+  auto poisoned = [](const void* p) {
+    return __asan_address_is_poisoned(p) != 0;
+  };
+
+  char* x = static_cast<char*>(alloc.Allocate(kBig));
+  EXPECT_FALSE(poisoned(x));
+  EXPECT_FALSE(poisoned(x + kBig - 1));
+  // The rest of x's arena has never been carved.
+  EXPECT_TRUE(poisoned(x + kBig));
+  EXPECT_TRUE(poisoned(x + kArena - 128));
+
+  // y seals x's arena and opens a second one; freeing x drains the
+  // first, which parks as the spare.
+  char* y = static_cast<char*>(alloc.Allocate(kBig));
+  alloc.Deallocate(x, kBig);
+  EXPECT_TRUE(poisoned(x));
+  EXPECT_TRUE(poisoned(x + kBig - 1));
+  EXPECT_FALSE(poisoned(y));
+
+  // z seals y's arena and re-carves the spare from its start.
+  char* z = static_cast<char*>(alloc.Allocate(kBig));
+  ASSERT_EQ(z, x) << "expected the spare mapping to be recycled";
+  EXPECT_FALSE(poisoned(z));
+  EXPECT_FALSE(poisoned(z + kBig - 1));
+  EXPECT_TRUE(poisoned(z + kBig));
+
+  alloc.Deallocate(z, kBig);
+  alloc.Deallocate(y, kBig);
+#else
+  GTEST_SKIP() << "poisoning is only observable in AddressSanitizer builds";
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -108,8 +108,15 @@ class EngineChaosTest : public testing::Test {
 // are absorbed by kBlock's backoff — nothing lost, nothing bent. Oracle
 // parity is checked after injection clears (the acceptance bar).
 TEST_F(EngineChaosTest, RecoverableFaultsUnderLiveIngestionKeepParity) {
-  ShardedProfiler engine(kCapacity, ChaosOptions());
+  // Publishing every 16 events keeps the workers faulting pages, so each
+  // shard's first arena fills and the arena has to map another: the
+  // arena_mmap_fail site sits on that path.
+  EngineOptions options = ChaosOptions();
+  options.snapshot_interval = 16;
+  ShardedProfiler engine(kCapacity, options);
   std::vector<int64_t> expected(kCapacity, 0);
+  const uint64_t degraded_before =
+      CounterValue("sprofile_cow_degraded_allocs");
 
   Fail().Activate("arena_alloc_fail", failpoint::Trigger::EveryNth(5));
   Fail().Activate("arena_mmap_fail", failpoint::Trigger::EveryNth(2));
@@ -126,10 +133,14 @@ TEST_F(EngineChaosTest, RecoverableFaultsUnderLiveIngestionKeepParity) {
   EXPECT_EQ(engine.ShedEvents(), 0u) << "kBlock must never drop";
   EXPECT_EQ(FrequenciesOf(engine), expected);
 
-  // The injection actually happened (the allocator-independent points at
-  // least; the arena ones are silent in forced-heap/ASan builds).
+  // Every injection site actually fired — the arena ones too, since shard
+  // storage sits on arenas in every build — and the refused blocks were
+  // served from the heap.
   EXPECT_GT(Fail().FireCount("engine_ring_push_full"), 0u);
   EXPECT_GT(Fail().FireCount("cow_page_alloc_fail"), 0u);
+  EXPECT_GT(Fail().FireCount("arena_alloc_fail"), 0u);
+  EXPECT_GT(Fail().FireCount("arena_mmap_fail"), 0u);
+  EXPECT_GT(CounterValue("sprofile_cow_degraded_allocs"), degraded_before);
 }
 
 // kShed: a persistently full ring drops instead of blocking, the checked

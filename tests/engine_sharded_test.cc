@@ -547,36 +547,12 @@ TEST(CheckedEngineTest, FactoryRejectsBadOptions) {
 }
 
 // ---------------------------------------------------------------------------
-// ISSUE 4: the memory-layer knobs (page allocator, arena sizing, pinning,
-// NUMA policy) validate before any thread spawns, and the arena-backed
-// engine works end to end with MemoryStats reporting.
+// Pinning validates before any thread spawns, and the engine's per-shard
+// arenas work end to end with MemoryStats reporting.
 // ---------------------------------------------------------------------------
 
-TEST(EngineOptionsTest, ValidateRejectsBadMemoryLayerSettings) {
-  // arena_bytes must be a multiple of the 4 KiB base page...
+TEST(EngineOptionsTest, ValidateAcceptsPinnedSingleShard) {
   EngineOptions o;
-  o.arena_bytes = (2u << 20) + 123;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-  // ...and inside [64 KiB, 1 GiB].
-  o.arena_bytes = 4096;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-  o.arena_bytes = uint64_t{2} << 30;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-  o.arena_bytes = EngineOptions{}.arena_bytes;
-  EXPECT_TRUE(o.Validate().ok());
-
-  // Enum fields reject out-of-range values smuggled in by cast.
-  o.page_allocator = static_cast<PageAllocatorKind>(250);
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-  o.page_allocator = PageAllocatorKind::kArena;
-  EXPECT_TRUE(o.Validate().ok());
-  o.numa_policy = static_cast<NumaPolicy>(99);
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-
-  // numa_policy=local is meaningless without pinning.
-  o.numa_policy = NumaPolicy::kLocal;
-  o.pin_threads = false;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
   o.pin_threads = true;
   o.shards = 1;  // 1 <= hardware_concurrency everywhere
   EXPECT_TRUE(o.Validate().ok());
@@ -617,9 +593,9 @@ TEST(ShardedProfilerTest, ArenaBackedEngineMatchesOracleAndReportsStats) {
   const std::vector<Event> events = RandomEvents(kCapacity, 30000, 7);
   const baselines::NaiveProfiler oracle = OracleOf(kCapacity, events);
 
+  // Default storage options: every build, sanitizers included, backs each
+  // shard with its own arena.
   EngineOptions options = SmallOptions(3);
-  options.page_allocator = PageAllocatorKind::kArena;
-  options.arena_bytes = 64 * 1024;
   options.snapshot_interval = 512;  // force publish/fault/retire churn
   ShardedProfiler engine(kCapacity, options);
   engine.ApplyBatch(events);
@@ -649,7 +625,6 @@ TEST(ShardedProfilerTest, MemoryStatsCorrectAcrossShardFootprints) {
   // truth, and every shard still reports real arena activity.
   {
     EngineOptions options = SmallOptions(8);
-    options.page_allocator = PageAllocatorKind::kArena;
     ShardedProfiler engine(/*capacity=*/4096, options);
     engine.ApplyBatch(RandomEvents(4096, 20000, 3));
     engine.Drain();
@@ -669,7 +644,6 @@ TEST(ShardedProfilerTest, MemoryStatsCorrectAcrossShardFootprints) {
   // (>= 2 MiB) mappings.
   {
     EngineOptions options = SmallOptions(2);
-    options.page_allocator = PageAllocatorKind::kArena;
     ShardedProfiler engine(/*capacity=*/1u << 18, options);
     const EngineMemoryStats stats = engine.MemoryStats();
     EXPECT_EQ(stats.shards_reporting, 2u);
@@ -682,38 +656,11 @@ TEST(ShardedProfilerTest, MemoryStatsCorrectAcrossShardFootprints) {
   }
 }
 
-TEST(ShardedProfilerTest, HeapBackedEngineMatchesArenaBackedEngine) {
-  constexpr uint32_t kCapacity = 257;
-  const std::vector<Event> events = RandomEvents(kCapacity, 20000, 11);
-
-  EngineOptions arena_opts = SmallOptions(2);
-  arena_opts.page_allocator = PageAllocatorKind::kArena;
-  EngineOptions heap_opts = SmallOptions(2);
-  heap_opts.page_allocator = PageAllocatorKind::kHeap;
-
-  ShardedProfiler arena_engine(kCapacity, arena_opts);
-  ShardedProfiler heap_engine(kCapacity, heap_opts);
-  arena_engine.ApplyBatch(events);
-  heap_engine.ApplyBatch(events);
-  arena_engine.Drain();
-  heap_engine.Drain();
-
-  EXPECT_EQ(arena_engine.Histogram(), heap_engine.Histogram());
-  for (uint32_t id = 0; id < kCapacity; ++id) {
-    ASSERT_EQ(arena_engine.Frequency(id), heap_engine.Frequency(id)) << id;
-  }
-  // Heap-backed shards report too (per-shard HeapPageAllocator instances).
-  EXPECT_EQ(heap_engine.MemoryStats().shards_reporting, 2u);
-  EXPECT_EQ(heap_engine.MemoryStats().totals.arenas_created, 0u);
-}
-
 TEST(ShardedProfilerTest, PinnedSingleShardEngineWorks) {
   // One shard pins to core 0 on any machine; exercises the worker-side
-  // construct-after-pin path (the first-touch half of numa_policy=local).
+  // construct-after-pin path (the arena's first touch on the pinned core).
   EngineOptions options = SmallOptions(1);
   options.pin_threads = true;
-  options.numa_policy = NumaPolicy::kLocal;
-  options.page_allocator = PageAllocatorKind::kArena;
   ASSERT_TRUE(options.Validate().ok());
 
   constexpr uint32_t kCapacity = 128;
@@ -727,7 +674,6 @@ TEST(ShardedProfilerTest, PinnedSingleShardEngineWorks) {
 
 TEST(CheckedEngineTest, MemoryStatsPassesThrough) {
   EngineOptions options = SmallOptions(2);
-  options.page_allocator = PageAllocatorKind::kArena;
   auto made = MakeCheckedShardedProfiler(
       ProfilerOptions().SetInitialCapacity(100), options);
   ASSERT_TRUE(made.ok());

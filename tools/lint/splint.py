@@ -410,8 +410,8 @@ def rule_payload_alloc(root):
                         "raw page-memory allocation outside the two "
                         "allocators (HeapPageAllocator in cow_pages.h, "
                         "ArenaPageAllocator in page_arena.h) — route it "
-                        "through a PageAllocator so stats, sanitizer "
-                        "modes, and NUMA policy keep working"))
+                        "through a PageAllocator so the allocation stats "
+                        "and the arena's ASan poisoning keep working"))
     return violations
 
 
