@@ -466,8 +466,12 @@ int main() {
   // replays the stream into an arena-backed profile; every `interval`
   // events a COW snapshot is taken and HELD for interval/4 events (a
   // reader consuming the publication), then dropped — after which the
-  // profile re-flattens and updates return to the flat kernel. interval=0
-  // is the snapshot-free steady state (pure flat).
+  // next probe consolidates the profile's fault copies into fresh runs
+  // and updates return to the flat kernel (sooner, by the forced
+  // consolidation, once kForceReflattenUpdates paged updates pass under
+  // the held snapshot). This is the only caller that drops a snapshot in
+  // the middle of a cycle; engine shards hold theirs until the next
+  // publish. interval=0 is the snapshot-free steady state (pure flat).
   // -----------------------------------------------------------------------
   std::printf("# publish-interval sweep (single thread, arena pages, "
               "snapshot held for interval/4 events)\n");

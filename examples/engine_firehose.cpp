@@ -35,19 +35,28 @@ namespace {
 // The chaos schedule's menu: recoverable faults only. Quarantining
 // points (heap_page_alloc_fail, engine_worker_drain_fail) are left to
 // the chaos test suite — this example asserts EXACT end-to-end results,
-// which a quarantined shard intentionally cannot provide.
+// which a quarantined shard intentionally cannot provide. In a failpoints
+// build every point must fire, or the run fails.
 constexpr const char* kChaosPoints[] = {
     "arena_alloc_fail",
-    "arena_mmap_fail",
     "cow_page_alloc_fail",
     "engine_ring_push_full",
+    "arena_mmap_fail",
 };
+// The first kWindowedPoints sites are hit on every allocation or push, so
+// short random windows catch them. The rest guard a new arena mapping,
+// which happens only a few times per run: they stay armed from the start
+// until they fire once.
+constexpr size_t kWindowedPoints = 3;
 
 void ChaosMonkey(const std::atomic<bool>& stop) {
   namespace fp = sprofile::failpoint;
+  for (size_t i = kWindowedPoints; i < std::size(kChaosPoints); ++i) {
+    fp::Registry::Global().Activate(kChaosPoints[i], fp::Trigger::Once());
+  }
   std::mt19937_64 rng(20260808);
   while (!stop.load(std::memory_order_acquire)) {
-    const char* name = kChaosPoints[rng() % std::size(kChaosPoints)];
+    const char* name = kChaosPoints[rng() % kWindowedPoints];
     if (rng() % 2 == 0) {
       fp::Registry::Global().Activate(
           name, fp::Trigger::EveryNth(2 + rng() % 9));
@@ -217,6 +226,13 @@ int main(int argc, char** argv) {
     std::printf("chaos: %llu injected faults absorbed, engine %s\n",
                 static_cast<unsigned long long>(fires),
                 profiler.Healthy() ? "healthy" : "QUARANTINED");
+    // An armed point that never fired left its rung unexercised.
+    for (const char* name : kChaosPoints) {
+      if (fp::Registry::Global().FireCount(name) == 0) {
+        std::printf("chaos: FAILED — %s never fired\n", name);
+        healthy = false;
+      }
+    }
 #else
     std::printf("chaos: injection sites compiled out "
                 "(build with -DSPROFILE_FAILPOINTS=ON); %llu fires\n",
@@ -224,7 +240,7 @@ int main(int argc, char** argv) {
 #endif
     // Recoverable faults only: a quarantine or a dropped event here
     // means a ladder rung leaked.
-    healthy = profiler.Healthy() && profiler.ShedEvents() == 0;
+    healthy = healthy && profiler.Healthy() && profiler.ShedEvents() == 0;
   }
   return (same && healthy) ? 0 : 1;
 }

@@ -109,9 +109,9 @@ class SProfile : public ProfilerBase<SProfile> {
   }
 
   /// Storage-maintenance hook (engine::MaintainsStorage): try to re-enter
-  /// the exclusive-epoch flat layout while the shard is idle. O(1) when
-  /// blocked by a live snapshot; one dirty-run copy per faulted page when
-  /// it succeeds.
+  /// the exclusive-epoch flat layout while the shard is idle. A live
+  /// snapshot blocks it at its first pinned page (or, after
+  /// kForceReflattenUpdates paged updates, is consolidated past).
   void MaintainStorage() { p_.TryReflatten(); }
 
   /// True while updates run through the flat (no page-table) kernel.

@@ -131,10 +131,10 @@ concept ReportsPageAllocator = requires(const B& b) {
 /// Backends with a storage-maintenance hook (adapters::SProfile models
 /// this with FrequencyProfile::TryReflatten): the shard worker calls it
 /// whenever its queue runs dry, so the backend can re-enter its
-/// exclusive-epoch flat layout — merging post-publish fault copies back
-/// into contiguous runs — off the ingestion path. Bounded work: O(1)
-/// while the last published snapshot still pins pages (a witness
-/// refcount is polled), one dirty-run copy per faulted page otherwise.
+/// exclusive-epoch flat layout — consolidating post-publish fault copies
+/// into contiguous runs — off the ingestion path. A COW shard holds its
+/// last publish until the next one, so it re-enters only by the forced
+/// consolidation after kForceReflattenUpdates paged updates.
 template <typename B>
 concept MaintainsStorage = requires(B& b) { b.MaintainStorage(); };
 
@@ -517,9 +517,9 @@ class ShardWorker {
       }
       // Idle storage maintenance: let the backend re-flatten toward its
       // exclusive-epoch layout while nothing is queued (deep-copy
-      // snapshot mode and burst-idle COW workloads profit; under a live
-      // COW snapshot this is one witness poll). The backend also probes
-      // per drained batch inside its own ApplyBatch.
+      // snapshot mode profits; under a retained COW snapshot it waits for
+      // the forced consolidation). The backend also probes per drained
+      // batch inside its own ApplyBatch.
       if constexpr (MaintainsStorage<Backend>) {
         live_->MaintainStorage();
       }

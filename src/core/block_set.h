@@ -120,9 +120,9 @@ class BlockPool {
 
   /// Attempts to put both arrays into their flat view and caches the base
   /// pointers. Returns flat_ok(). With force, pages still shared with a
-  /// live snapshot are actively faulted instead of blocking the epoch
-  /// (see CowPageArray::ForceFlat); callers gate that on accumulated
-  /// paged-path work.
+  /// live snapshot are copied into fresh runs instead of blocking the
+  /// epoch (see cow::PagedArray::ForceFlat); callers gate that on
+  /// accumulated paged-path work.
   bool BeginFlat(bool force = false) {
     const bool ok = force
                         ? blocks_.ForceFlat() && free_list_.ForceFlat()

@@ -22,13 +22,13 @@
 // from the update path entirely (flat_data() + EnsureFlat() below; the
 // FrequencyProfile update kernel is instantiated over this view).
 // Snapshot() flips the array back to paged/COW mode. Each post-publish
-// fault copies to a standalone block that TRACKS ITS DIRTY RUN (first /
-// last element written since the fault); once the pinning snapshot dies,
-// EnsureFlat() re-flattens by copying only each page's dirty run back
-// into its home slot — the COW tax is proportional to how recently a
-// snapshot was taken, not a permanent per-update cost. Growth past the
-// run falls back to standalone pages; re-flattening then consolidates
-// into a doubled run (amortized O(1) per appended element).
+// fault copies to a standalone block. Once any page is displaced (faulted,
+// or grown past the run) there is one way back to the flat view:
+// Consolidate() copies every page into a fresh run — with doubled
+// headroom after growth, so amortized O(1) per appended element.
+// EnsureFlat() takes it once no snapshot shares a page; ForceFlat() takes
+// it at once, copying still-shared pages as it reads them (a shared page
+// is immutable; the array only drops its reference).
 //
 // Storage comes from an injectable PageAllocator. Every block is one
 // allocation, so a run is a run on any allocator — the layout above is
@@ -63,18 +63,14 @@
 //     refcount 1 means exclusive; the acquire pairs with the release
 //     fetch_sub of a reader dropping its snapshot, ordering the reader's
 //     page reads before the writer's stores. Shared pages are never
-//     written — the writer copies them first. Re-flattening writes into a
-//     HOME slot only after observing its refcount at 0 (acquire), which
-//     orders the last reader's accesses before the owner's copy-back.
+//     written — the writer copies them first. Growth refills a HOME slot
+//     only after observing its refcount at 0 (acquire), which orders the
+//     last reader's accesses before the owner's fill.
 //   - The per-page "known exclusive" tag (bit 0 of the owner's page-table
 //     entry) is a pure owner-private cache of "refcount was 1 and no share
 //     happened since": refcounts only decrease while the tag is set, so
 //     the fast write path may skip the control-block load without ever
-//     writing a page a snapshot still references. Dirty-tracked standalone
-//     pages deliberately stay UNTAGGED so every write routes through the
-//     slow path that extends the dirty run; tracking self-disables (tag
-//     re-armed, dirty run widened to the whole page) once the run covers
-//     half the page and the bookkeeping stops paying for itself.
+//     writing a page a snapshot still references.
 //
 // Pages are stable in memory while no snapshot interleaves: growing the
 // array never moves existing pages, so references returned by
@@ -300,15 +296,8 @@ struct RunHeader {
 /// whole point of the flat view). Lives either in a run's control strip
 /// or at the head of a standalone single-page block (run == nullptr, the
 /// block then starts at the control itself).
-///
-/// dirty_lo/dirty_hi (owner-private, in-page element indices) record the
-/// DIRTY RUN of a standalone fault copy: the span written since the page
-/// diverged from its home run slot. lo > hi means "not tracked". The
-/// re-flatten step copies only this span back home.
 struct PageCtrl {
   std::atomic<uint32_t> refs{0};
-  uint32_t dirty_lo = 1;  ///< lo > hi: no dirty tracking on this page
-  uint32_t dirty_hi = 0;
   RunHeader* run = nullptr;  ///< owning run; null = standalone block
   /// Fallback source of a standalone block (see RunHeader::source);
   /// null = the array's own allocator. Unused for run pages (the run
@@ -378,11 +367,7 @@ class PagedArray {
         run_ctrls_(other.run_ctrls_),
         run_base_(other.run_base_),
         run_capacity_(other.run_capacity_),
-        flat_(other.flat_),
-        outgrew_run_(other.outgrew_run_),
-        witness_(other.witness_),
-        witness_unblock_(other.witness_unblock_),
-        witness_pinned_(other.witness_pinned_) {
+        flat_(other.flat_) {
     AdoptGeometry(other);
     other.alloc_ = GlobalHeapPageAllocator();
     other.ResetToEmpty();
@@ -400,10 +385,6 @@ class PagedArray {
       run_base_ = other.run_base_;
       run_capacity_ = other.run_capacity_;
       flat_ = other.flat_;
-      outgrew_run_ = other.outgrew_run_;
-      witness_ = other.witness_;
-      witness_unblock_ = other.witness_unblock_;
-      witness_pinned_ = other.witness_pinned_;
       other.alloc_ = GlobalHeapPageAllocator();
       other.ResetToEmpty();
     }
@@ -432,8 +413,7 @@ class PagedArray {
   /// known-exclusive marker is the LOW BIT of the page-table entry itself
   /// (pages are 64-aligned, so the bit is free): one load, one test. The
   /// slow path re-checks the refcount, faults if the page is still
-  /// shared, extends the dirty run of a tracked fault copy, and re-arms
-  /// the tag where tracking isn't (or stopped being) worthwhile.
+  /// shared, and re-arms the tag.
   T& Mutable(size_t i) {
     SPROFILE_DCHECK(i < size_);
     const size_t page_index = i >> page_shift_;
@@ -441,7 +421,7 @@ class PagedArray {
     if (tagged & kExclusiveTag) [[likely]] {
       return reinterpret_cast<T*>(tagged & ~kExclusiveTag)[i & page_mask_];
     }
-    EnsureWritable(page_index, i & page_mask_, i & page_mask_);
+    EnsureWritable(page_index, i & page_mask_);
     return PageAt(page_index)[i & page_mask_];
   }
 
@@ -457,19 +437,9 @@ class PagedArray {
       ctrls_.reserve(want);
       while (pages_.size() < want) AppendPage(nullptr);
     } else if (want < old_pages) {
-      for (size_t p = want; p < old_pages; ++p) {
-        // Same pin-orphan hazard as FaultPage: dropping the witnessed
-        // page from the table leaves only future EnsureFlat polls to
-        // release the pin, and a quiescent array never polls.
-        if (ctrls_[p] == witness_ && witness_pinned_) ClearWitness();
-        UnrefPage(ctrls_[p]);
-      }
+      for (size_t p = want; p < old_pages; ++p) UnrefPage(ctrls_[p]);
       pages_.resize(want);
       ctrls_.resize(want);
-      // Back under the run: every surviving page has a home slot again,
-      // so the next EnsureFlat may take the cheap in-place repair instead
-      // of a full consolidation into a fresh doubled run.
-      if (outgrew_run_ && want <= run_capacity_) outgrew_run_ = false;
     }
     size_ = n;
     if (n > old_size) {
@@ -530,119 +500,38 @@ class PagedArray {
 
   /// Attempts to (re-)enter the flat epoch. Owner thread only.
   ///
-  /// Cheap when it can't succeed: a *pin witness* — the control block of
-  /// the page that blocked the last attempt — is polled first (one atomic
-  /// load), so a long-lived snapshot costs O(1) per attempt, not a page
-  /// scan. When every page is exclusive: displaced fault copies are
-  /// merged back into their free home slots (copying only each page's
-  /// dirty run), or, after growth past the run / for run-less arrays, the
-  /// whole array is consolidated into a fresh run with doubled headroom.
-  /// Returns flat().
+  /// Fails at the first page a snapshot still shares. Once every page is
+  /// exclusive, pages that all sit in their home run slots are re-tagged
+  /// in place; otherwise (fault copies, growth past the run, or a run-less
+  /// copy) the array consolidates into a fresh run. Returns flat().
   bool EnsureFlat() {
     if (flat_) return true;
     if (pages_.empty()) {
-      // A witness armed before the array was emptied would otherwise keep
-      // its pinned page block (and potentially its arena) alive for the
-      // rest of the array's life: with flat_ true it is never polled again.
-      ClearWitness();
       flat_ = true;
       return true;
     }
-    if (witness_ != nullptr) {
-      // orders: acquire pairs with the release fetch_sub in UnrefPage —
-      // seeing the dropped count means the releasing snapshot's last reads
-      // of the page happened-before our reuse of it.
-      if (witness_->refs.load(std::memory_order_acquire) > witness_unblock_) {
-        return false;
-      }
-      ClearWitness();
-    }
-    // Pass 1: every page must be exclusively ours; a displaced page's home
-    // slot must additionally be unpinned (its last snapshot gone).
-    const bool repairable = run_ != nullptr && !outgrew_run_;
+    bool home = run_ != nullptr && pages_.size() <= run_capacity_;
     for (size_t p = 0; p < pages_.size(); ++p) {
-      internal::PageCtrl* c = ctrls_[p];
-      // orders: acquire (both loads) pairs with UnrefPage's release
-      // fetch_sub, so observing refs == 1 / == 0 also orders us after
-      // every released co-owner's reads — the page is safe to mutate or
-      // overwrite in pass 2.
-      if (c->refs.load(std::memory_order_acquire) != 1) {
-        SetPageWitness(c);
-        return false;
-      }
-      if (!repairable || c == &run_ctrls_[p]) continue;
-      if (run_ctrls_[p].refs.load(std::memory_order_acquire) != 0) {
-        SetHomeWitness(&run_ctrls_[p]);
-        return false;
-      }
+      // orders: acquire pairs with UnrefPage's release fetch_sub, so
+      // observing refs == 1 also orders us after every released
+      // co-owner's reads — the page is safe to mutate in place.
+      if (ctrls_[p]->refs.load(std::memory_order_acquire) != 1) return false;
+      home = home && ctrls_[p] == &run_ctrls_[p];
     }
-    if (!repairable) return Consolidate();
-    // Pass 2: merge displaced fault copies back into their home slots.
-    // The home slot still holds the page's content as of the fault (the
-    // copy source), so only the accumulated dirty run differs.
-    for (size_t p = 0; p < pages_.size(); ++p) {
-      internal::PageCtrl* c = ctrls_[p];
-      internal::PageCtrl* home = &run_ctrls_[p];
-      if (c != home) {
-        T* home_page = run_base_ + p * page_elems_;
-        const T* cur = PageAt(p);
-        size_t lo = c->dirty_lo, hi = c->dirty_hi;
-        if (lo > hi) {  // divergence unknown: copy the whole page
-          lo = 0;
-          hi = page_elems_ - 1;
-        }
-        std::memcpy(static_cast<void*>(home_page + lo), cur + lo,
-                    (hi - lo + 1) * sizeof(T));
-        SPROFILE_METRIC_HISTOGRAM(
-            "sprofile_cow_dirty_run_elems", "elements",
-            "Dirty-run width merged home per re-flattened page")
-            .Record(hi - lo + 1);
-        // orders: relaxed — pass 1 proved refs == 0 with acquire, so this
-        // thread owns the slot exclusively; nothing else reads it until a
-        // later Snapshot() publishes it (whose mechanism provides the
-        // ordering).
-        home->refs.store(1, std::memory_order_relaxed);
-        home->dirty_lo = 1;
-        home->dirty_hi = 0;
-        // orders: relaxed — live only gates run teardown via the acq_rel
-        // fetch_sub in ReleaseRunSlot; increments need no ordering of
-        // their own (the owner holds a ref across the whole operation).
-        run_->live.fetch_add(1, std::memory_order_relaxed);
-        UnrefPage(c);
-        pages_[p] = TagExclusive(home_page);
-        ctrls_[p] = home;
-      } else {
-        pages_[p] |= kExclusiveTag;
-      }
-    }
+    if (!home) return Consolidate();
+    for (uintptr_t& entry : pages_) entry |= kExclusiveTag;
     flat_ = true;
     return true;
   }
 
   /// EnsureFlat's forcing sibling for write-hot arrays pinned by a
-  /// long-lived snapshot: every page still shared is actively faulted —
-  /// the same copies later writes would otherwise pay one miss at a time —
-  /// and the array then consolidates into a fresh private run, sidestepping
-  /// home slots the snapshot still pins. Costs up to one full-array copy,
-  /// so callers gate it on accumulated paged-path work (an engine worker
-  /// stuck behind a retained snapshot forever, for example); a sporadic
-  /// writer should keep polling plain EnsureFlat instead. Returns flat().
-  bool ForceFlat() {
-    if (EnsureFlat()) return true;
-    ClearWitness();
-    for (size_t p = 0; p < pages_.size(); ++p) {
-      // orders: acquire pairs with UnrefPage's release fetch_sub, same as
-      // EnsureFlat pass 1 — refs == 1 orders us after every released
-      // co-owner's reads. Refs can only fall concurrently (new shares are
-      // owner-thread Snapshot calls), so the verdict cannot rot.
-      if (ctrls_[p]->refs.load(std::memory_order_acquire) != 1) {
-        FaultPage(p, 0, page_mask_);
-      }
-    }
-    // Every page is now exclusive; home slots the snapshot still pins are
-    // sidestepped entirely by consolidating into a fresh run.
-    return Consolidate();
-  }
+  /// long-lived snapshot: consolidates into a fresh private run right
+  /// away, copying pages the snapshot still shares as it reads them. The
+  /// snapshot keeps its pages untouched. Costs one full-array copy, so
+  /// callers gate it on accumulated paged-path work (an engine worker
+  /// stuck behind a retained snapshot, for example); a sporadic writer
+  /// should keep polling plain EnsureFlat instead. Returns flat().
+  bool ForceFlat() { return EnsureFlat() || Consolidate(); }
 
   // -----------------------------------------------------------------------
   // Introspection (tests, MemoryBytes, bench assertions).
@@ -670,7 +559,7 @@ class PagedArray {
   }
 
   /// Pages living outside their home run slot (fault copies + growth
-  /// overflow); the re-flatten work queue. 0 while flat.
+  /// overflow); any of them makes EnsureFlat consolidate. 0 while flat.
   size_t DisplacedPageCount() const {
     if (run_ == nullptr) return pages_.size();
     size_t displaced = 0;
@@ -678,12 +567,6 @@ class PagedArray {
       if (p >= run_capacity_ || ctrls_[p] != &run_ctrls_[p]) ++displaced;
     }
     return displaced;
-  }
-
-  /// Dirty run of page p as [lo, hi] in-page element indices; {1, 0} when
-  /// the page is not dirty-tracked. Tests only.
-  std::pair<uint32_t, uint32_t> DirtyRunForTest(size_t p) const {
-    return {ctrls_[p]->dirty_lo, ctrls_[p]->dirty_hi};
   }
 
   /// Heap bytes held via this array. Shared pages are counted in full on
@@ -736,7 +619,6 @@ class PagedArray {
   }
 
   void ResetToEmpty() {
-    // Moved-from state: the witness pin (if any) traveled with the move.
     pages_.clear();
     ctrls_.clear();
     size_ = 0;
@@ -745,41 +627,6 @@ class PagedArray {
     run_base_ = nullptr;
     run_capacity_ = 0;
     flat_ = true;
-    outgrew_run_ = false;
-    witness_ = nullptr;
-    witness_pinned_ = false;
-  }
-
-  /// Watch a CURRENT table page's ctrl: pin an extra page reference so
-  /// the block outlives re-faults and snapshot retirements while watched.
-  /// refs >= 1 is guaranteed here (our table holds one), so the increment
-  /// cannot race a concurrent free. Unblocked at refs <= 2: the pin plus
-  /// our table reference (or the pin alone after a re-fault — a spurious
-  /// unblock only costs one scan, which re-arms on the real blocker).
-  void SetPageWitness(PageCtrl* c) const {
-    // orders: relaxed — increments on a block we already co-own need no
-    // ordering; only the final decrement-to-zero (UnrefPage, acq_rel)
-    // synchronizes the free.
-    c->refs.fetch_add(1, std::memory_order_relaxed);
-    witness_ = c;
-    witness_unblock_ = 2;
-    witness_pinned_ = true;
-  }
-
-  /// Watch a HOME-slot ctrl (displaced page, home still pinned by an old
-  /// snapshot). The strip lives in OUR anchored run — no pin needed, and
-  /// none would be safe: its refcount legitimately reaches 0.
-  void SetHomeWitness(PageCtrl* c) const {
-    witness_ = c;
-    witness_unblock_ = 0;
-    witness_pinned_ = false;
-  }
-
-  void ClearWitness() const {
-    if (witness_ == nullptr) return;
-    if (witness_pinned_) UnrefPage(witness_);
-    witness_ = nullptr;
-    witness_pinned_ = false;
   }
 
   /// The degradation rung under every block allocation: the array's own
@@ -815,8 +662,8 @@ class PagedArray {
 
   /// Carves a run block for `cap` pages: [RunHeader][ctrl strip][payloads
   /// — adjacent]. The returned header starts with live == 1: the owning
-  /// array's anchor, which keeps the block mapped (so home slots stay
-  /// mergeable) until the array re-homes or dies.
+  /// array's anchor, which keeps the block mapped (so home slots freed by
+  /// snapshots stay reusable) until the array re-homes or dies.
   void AllocateRun(size_t cap, RunHeader** hdr, PageCtrl** ctrls,
                    T** base) const {
     const size_t strip = RoundUp64Sz(cap * sizeof(PageCtrl));
@@ -843,7 +690,6 @@ class PagedArray {
     if (run_ != nullptr || want_pages == 0) return;
     AllocateRun(want_pages, &run_, &run_ctrls_, &run_base_);
     run_capacity_ = want_pages;
-    outgrew_run_ = false;
   }
 
   /// Drops one reference on a run block (a page death or the owner's
@@ -876,7 +722,7 @@ class PagedArray {
   void UnrefPage(PageCtrl* ctrl) const {
     // orders: acq_rel — release so our prior reads/writes of the page
     // complete before any other thread frees or re-homes it (pairs with
-    // the acquire loads in EnsureFlat/AppendPage and the witness poll);
+    // the acquire loads in EnsureFlat/EnsureWritable/AppendPage);
     // acquire on the freeing side so all owners' accesses complete before
     // the block returns to the allocator.
     if (ctrl->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -901,16 +747,11 @@ class PagedArray {
       // whoever dropped the slot last, ordering their accesses before our
       // fill.
       if (home->refs.load(std::memory_order_acquire) == 0) {
-        // Re-arming a slot a home witness still watches would freeze the
-        // witness at refs == 1 forever (it is now our own table page) and
-        // wedge every future EnsureFlat at the poll.
-        if (witness_ == home) ClearWitness();
         // orders: relaxed — slot proven free with acquire just above;
         // exclusively ours until published.
         home->refs.store(1, std::memory_order_relaxed);
-        home->dirty_lo = 1;
-        home->dirty_hi = 0;
-        // orders: relaxed — anchor-protected increment (see EnsureFlat).
+        // orders: relaxed — live only gates run teardown via the acq_rel
+        // fetch_sub in DropRunRef; the owner's anchor keeps it above 0.
         run_->live.fetch_add(1, std::memory_order_relaxed);
         T* page = run_base_ + p * page_elems_;
         FillPage(page, src);
@@ -921,17 +762,9 @@ class PagedArray {
     }
     // Fallback: no run, the home slot is still pinned by an old snapshot,
     // or we grew past the run.
-    if (run_ != nullptr && p >= run_capacity_) outgrew_run_ = true;
     PageCtrl* c = nullptr;
     T* page = NewStandalonePage(&c);
     FillPage(page, src);
-    if (run_ != nullptr && p < run_capacity_) {
-      // Born displaced with a live home slot underneath: divergence from
-      // whatever the slot holds is unknowable — mark fully dirty so a
-      // later re-flatten copies the whole page.
-      c->dirty_lo = 0;
-      c->dirty_hi = static_cast<uint32_t>(page_mask_);
-    }
     flat_ = false;
     pages_.push_back(TagExclusive(page));
     ctrls_.push_back(c);
@@ -971,7 +804,6 @@ class PagedArray {
   }
 
   void Release() {
-    ClearWitness();
     for (size_t p = 0; p < pages_.size(); ++p) UnrefPage(ctrls_[p]);
     pages_.clear();
     ctrls_.clear();
@@ -981,62 +813,26 @@ class PagedArray {
     run_base_ = nullptr;
     run_capacity_ = 0;
     flat_ = true;
-    outgrew_run_ = false;
   }
 
   /// Copies page `p` into a fresh standalone block and drops the shared
   /// reference. The old page stays alive for (and unchanged under) its
-  /// remaining snapshot owners. When a home run exists, the copy starts
-  /// dirty-tracking at [lo, hi] — inheriting any divergence the faulted
-  /// source had already accumulated against the home slot — and stays
-  /// UNTAGGED so subsequent writes keep extending the run.
-  void FaultPage(size_t p, size_t lo, size_t hi) {
+  /// remaining snapshot owners. `in_page` (the element about to be
+  /// written) only annotates the trace record.
+  void FaultPage(size_t p, size_t in_page) {
     PageCtrl* old_ctrl = ctrls_[p];
-    const T* old = PageAt(p);
     PageCtrl* c = nullptr;
     T* fresh = NewStandalonePage(&c);
-    std::memcpy(static_cast<void*>(fresh), old, payload_bytes_);
-    uintptr_t entry = reinterpret_cast<uintptr_t>(fresh);
-    if (run_ != nullptr && p < run_capacity_) {
-      c->dirty_lo = static_cast<uint32_t>(lo);
-      c->dirty_hi = static_cast<uint32_t>(hi);
-      if (old_ctrl->run == nullptr && old_ctrl->dirty_lo <= old_ctrl->dirty_hi) {
-        c->dirty_lo = std::min(c->dirty_lo, old_ctrl->dirty_lo);
-        c->dirty_hi = std::max(c->dirty_hi, old_ctrl->dirty_hi);
-      }
-      if (DirtyRunWidth(c) * 2 >= page_elems_) {
-        SetFullyDirty(c);
-        entry |= kExclusiveTag;
-      }
-    } else {
-      entry |= kExclusiveTag;  // no home to merge back into: plain COW
-    }
-    pages_[p] = entry;
+    std::memcpy(static_cast<void*>(fresh), PageAt(p), payload_bytes_);
+    pages_[p] = TagExclusive(fresh);
     ctrls_[p] = c;
-    // The witness pin is an EnsureFlat optimization for pages still in
-    // the table; once the watched block is faulted away from, the only
-    // thing that would ever drop the pin is a future EnsureFlat poll —
-    // which quiescent arrays never run — so the pin would orphan the old
-    // block (and potentially its arena) for the array's lifetime. Drop it
-    // now, before our table reference goes: the remaining snapshot
-    // references alone decide the block's lifetime.
-    if (old_ctrl == witness_ && witness_pinned_) ClearWitness();
     UnrefPage(old_ctrl);
     flat_ = false;
     alloc_->CountFault();
     SPROFILE_METRIC_COUNTER("sprofile_cow_faults", "faults",
                             "COW page fault copies across all arrays")
         .Increment();
-    obs::Trace(obs::TraceEvent::kCowFault, static_cast<uint32_t>(p), lo);
-  }
-
-  size_t DirtyRunWidth(const PageCtrl* c) const {
-    return static_cast<size_t>(c->dirty_hi) - c->dirty_lo + 1;
-  }
-
-  void SetFullyDirty(PageCtrl* c) const {
-    c->dirty_lo = 0;
-    c->dirty_hi = static_cast<uint32_t>(page_mask_);
+    obs::Trace(obs::TraceEvent::kCowFault, static_cast<uint32_t>(p), in_page);
   }
 
   /// Zeroes elements [begin, end), faulting shared pages as needed.
@@ -1047,7 +843,7 @@ class PagedArray {
       const size_t in_page = i & page_mask_;
       const size_t count = std::min(end - i, page_elems_ - in_page);
       if (!(pages_[page_index] & kExclusiveTag)) {
-        EnsureWritable(page_index, in_page, in_page + count - 1);
+        EnsureWritable(page_index, in_page);
       }
       std::memset(static_cast<void*>(PageAt(page_index) + in_page), 0,
                   count * sizeof(T));
@@ -1070,62 +866,33 @@ class PagedArray {
     return reinterpret_cast<uintptr_t>(page) | kExclusiveTag;
   }
 
-  /// Slow path of Mutable/ZeroRange before writing elements [lo, hi] of a
-  /// page: re-check the refcount (a snapshot may have died), fault if
-  /// still shared, extend the dirty run of a tracked fault copy, and
-  /// re-arm the tag where tracking isn't worthwhile.
-  void EnsureWritable(size_t page_index, size_t lo, size_t hi) {
-    PageCtrl* c = ctrls_[page_index];
-    // Writing the witnessed page itself: lift the pin first. The pin
-    // inflates refs by one, so keeping it would (a) force a spurious
-    // fault of a page that is really exclusive, and (b) if the fault
-    // happens, strand the old block on the pin until a future EnsureFlat
-    // poll that a quiescent array never makes (the Release-only
-    // pages_live leak in ConcurrentSnapshotDropsReclaimSafely). Safe: our
-    // table still holds a reference, so the block cannot be freed under
-    // us, and the next EnsureFlat simply re-arms a witness if the page is
-    // still the blocker.
-    if (c == witness_ && witness_pinned_) ClearWitness();
+  /// Slow path of Mutable/ZeroRange before writing element `in_page` of
+  /// a page: re-check the refcount (a snapshot may have died), fault if
+  /// still shared, else re-arm the tag. Kept out of line: inlined with the
+  /// fault copy, it grows Mutable past what the compiler inlines into
+  /// callers' update loops, which then pay a call per element.
+  [[gnu::noinline]] void EnsureWritable(size_t page_index, size_t in_page) {
     // orders: acquire pairs with UnrefPage's release fetch_sub — seeing
     // refs == 1 means the dying snapshot's reads are ordered before our
     // in-place writes.
-    if (c->refs.load(std::memory_order_acquire) != 1) {
-      FaultPage(page_index, lo, hi);
-      return;
-    }
-    if (c->run != nullptr && c->run != run_) {
-      // Exclusive, but the payload is the home-run SLOT of another array
-      // (we are a snapshot holding the last reference to a page the owner
-      // already faulted away from). That slot doubles as the owner's
-      // re-flatten merge target — pass 2 assumes it still holds the
-      // page's content as of the fault and copies only the dirty run over
-      // it — so writing it in place would plant our writes into the
-      // owner's array. Copy out instead, exactly as if it were shared.
-      FaultPage(page_index, lo, hi);
-      return;
-    }
-    if (c->run == nullptr && c->dirty_lo <= c->dirty_hi && run_ != nullptr) {
-      // Dirty-tracked fault copy: extend the run; once it covers half the
-      // page the bookkeeping stops paying for itself — widen to the whole
-      // page and fall back to the tagged fast path.
-      c->dirty_lo = std::min(c->dirty_lo, static_cast<uint32_t>(lo));
-      c->dirty_hi = std::max(c->dirty_hi, static_cast<uint32_t>(hi));
-      if (DirtyRunWidth(c) * 2 >= page_elems_) {
-        SetFullyDirty(c);
-        pages_[page_index] |= kExclusiveTag;
-      }
+    if (ctrls_[page_index]->refs.load(std::memory_order_acquire) != 1) {
+      FaultPage(page_index, in_page);
       return;
     }
     pages_[page_index] |= kExclusiveTag;
   }
 
   /// Full consolidation: every page copied into a fresh run (doubled
-  /// headroom after growth), restoring adjacency. Precondition: every
-  /// page verified exclusive (EnsureFlat pass 1).
+  /// headroom after growth past the home run), restoring adjacency. Pages
+  /// a snapshot still shares are copied too: a shared page is immutable,
+  /// so reading it races nothing, and dropping our reference leaves it to
+  /// the snapshot alone.
   bool Consolidate() {
     const size_t want = pages_.size();
     size_t cap = want;
-    if (outgrew_run_) cap = std::bit_ceil(want + want / 2 + 1);
+    if (run_ != nullptr && want > run_capacity_) {
+      cap = std::bit_ceil(want + want / 2 + 1);
+    }
     RunHeader* old_run = run_;
     RunHeader* nr = nullptr;
     PageCtrl* nctrls = nullptr;
@@ -1147,7 +914,6 @@ class PagedArray {
     run_ctrls_ = nctrls;
     run_base_ = nbase;
     run_capacity_ = cap;
-    outgrew_run_ = false;
     flat_ = true;
     obs::Trace(obs::TraceEvent::kConsolidate, static_cast<uint32_t>(want));
     return true;
@@ -1157,8 +923,8 @@ class PagedArray {
   // Page-table entries: page pointer | exclusivity tag (bit 0). mutable
   // because sharing FROM a (logically const) array must clear its tags.
   mutable std::vector<uintptr_t> pages_;
-  // Parallel COLD table: per-page control blocks (refcount, dirty run,
-  // owning run). Off the read/fast-write paths by design.
+  // Parallel COLD table: per-page control blocks (refcount, owning run).
+  // Off the read/fast-write paths by design.
   mutable std::vector<PageCtrl*> ctrls_;
   size_t size_ = 0;
 
@@ -1169,18 +935,6 @@ class PagedArray {
   size_t run_capacity_ = 0;  // pages
 
   mutable bool flat_ = true;  // empty arrays are trivially flat
-  bool outgrew_run_ = false;
-  // Pin witness: the control block that blocked the last EnsureFlat, and
-  // the refcount at-or-below which the block is lifted. One atomic load
-  // per failed attempt instead of a page scan. Two forms (SetPageWitness /
-  // SetHomeWitness): a CURRENT-page ctrl is kept alive with an extra
-  // pinned page reference (witness_pinned_) — without it, a re-fault plus
-  // the last snapshot retiring would free the block (and maybe unmap its
-  // arena) under the watcher; a HOME-slot ctrl needs no pin, its run is
-  // anchored by this array.
-  mutable PageCtrl* witness_ = nullptr;
-  mutable uint32_t witness_unblock_ = 0;
-  mutable bool witness_pinned_ = false;
 
   // Geometry (fixed at construction; see SetGeometry).
   size_t page_elems_ = kPageElems;

@@ -102,8 +102,8 @@ FrequencyProfile FrequencyProfile::FromFrequencies(
 // The paged halves of Add/Remove. Out of line on purpose: the inline
 // wrappers stay small enough to vanish into callers' update loops. Every
 // kReflattenPeriod-th paged update probes whether the flat epoch can
-// resume (O(1) while a witness pin holds), so even callers that never
-// touch ApplyBatch/TryReflatten drift back to the fast path.
+// resume, so even callers that never touch ApplyBatch/TryReflatten drift
+// back to the fast path.
 void FrequencyProfile::AddPaged(uint32_t id) {
   if (ShouldProbeReflatten() && TryReflatten()) {
     FlatOps ops = MakeFlatOps();
@@ -136,9 +136,8 @@ bool FrequencyProfile::TryReflatten() {
   // A long-lived snapshot (an engine worker's retained publish, say) pins
   // pages the gentle probe can never reclaim, wedging a write-hot profile
   // on the paged kernel indefinitely. Once enough paged updates accumulate
-  // to out-cost a full divergence, force it: fault every still-shared page
-  // (copies later writes would pay piecemeal anyway) and consolidate into
-  // fresh private runs the snapshot has no claim on.
+  // to out-cost a full copy, force it: consolidate into fresh private runs
+  // the snapshot has no claim on, copying still-shared pages as read.
   const bool force =
       paged_updates_ - flat_paged_mark_ >= kForceReflattenUpdates;
   if (force) {
@@ -147,7 +146,7 @@ bool FrequencyProfile::TryReflatten() {
       return false;
     }
     SPROFILE_METRIC_COUNTER("sprofile_reflatten_forced", "forces",
-                            "Flat-epoch re-entries that had to fault out "
+                            "Flat-epoch re-entries that consolidated past "
                             "snapshot-pinned pages (forced divergence)")
         .Increment();
   } else if (!f_to_t_.EnsureFlat() || !slots_.EnsureFlat() ||
@@ -174,7 +173,7 @@ void FrequencyProfile::ApplyBatch(std::span<const Event> events) {
   if (events.empty()) return;
 
   // The kernel is selected once per drained batch: one flat-epoch probe
-  // here (O(1) while a witness snapshot still pins a page), then the
+  // here (it stops at the first page a snapshot still pins), then the
   // replay loop below dispatches on the cached flag only.
   TryReflatten();
   const size_t n = events.size();

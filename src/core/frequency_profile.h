@@ -447,10 +447,10 @@ class FrequencyProfile {
 
   /// Attempts to (re-)enter the flat epoch now (ApplyBatch and the engine
   /// worker's idle loop call this; singles re-probe every
-  /// kReflattenPeriod paged updates). O(1) while a known snapshot still
-  /// pins a page (a witness refcount is polled); otherwise O(#pages) plus
-  /// one dirty-run copy per page faulted since the last publication.
-  /// Returns storage_flat().
+  /// kReflattenPeriod paged updates). A blocked probe scans page tables up
+  /// to the first page a snapshot still pins; an unblocked one re-tags
+  /// pages in O(#pages), or consolidates (copies every page of) each
+  /// array that faulted or grew. Returns storage_flat().
   bool TryReflatten();
 
   /// Updates that ran through the PAGED kernel since construction (the
@@ -462,7 +462,7 @@ class FrequencyProfile {
   static constexpr uint32_t kReflattenPeriod = 64;
 
   /// Paged updates tolerated (since the last flat epoch) before
-  /// TryReflatten forcibly diverges snapshot-pinned pages. At ~30 ns of
+  /// TryReflatten consolidates past snapshot-pinned pages. At ~30 ns of
   /// paged-kernel premium per update this is ~120 us of waste — about the
   /// cost of the full-array copy the force pays — so a profile that keeps
   /// ingesting breaks even immediately and wins from there on, while a
@@ -586,8 +586,7 @@ class FrequencyProfile {
   }
 
   /// Singles-path re-entry throttle: probe TryReflatten every
-  /// kReflattenPeriod paged updates (the probe itself is O(1) while a
-  /// witness page stays pinned).
+  /// kReflattenPeriod paged updates.
   bool ShouldProbeReflatten() {
     if (++reflatten_tick_ < kReflattenPeriod) return false;
     reflatten_tick_ = 0;
@@ -627,7 +626,7 @@ class FrequencyProfile {
   uint64_t paged_updates_ = 0;
   // paged_updates_ as of the last successful reflatten: once the delta
   // passes kForceReflattenUpdates, TryReflatten escalates to forced
-  // divergence (CowPageArray::ForceFlat) instead of waiting for pinning
+  // divergence (cow::PagedArray::ForceFlat) instead of waiting for pinning
   // snapshots to die.
   uint64_t flat_paged_mark_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <memory>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "util/crc32c.h"
@@ -96,7 +97,8 @@ Status SaveProfile(const FrequencyProfile& profile, const std::string& path) {
   return Status::OK();
 }
 
-Result<FrequencyProfile> LoadProfile(const std::string& path) {
+Result<FrequencyProfile> LoadProfile(const std::string& path,
+                                     cow::PageAllocatorRef alloc) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return Status::IOError("cannot open " + path);
 
@@ -146,7 +148,7 @@ Result<FrequencyProfile> LoadProfile(const std::string& path) {
   if (crc32c::Unmask(masked) != crc32c::Value(freqs.data(), bytes)) {
     return Status::Corruption(path + ": checksum mismatch");
   }
-  return FrequencyProfile::FromFrequencies(freqs);
+  return FrequencyProfile::FromFrequencies(freqs, std::move(alloc));
 }
 
 }  // namespace sprofile

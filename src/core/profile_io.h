@@ -35,8 +35,11 @@ Result<std::string> SerializeProfile(const FrequencyProfile& profile);
 /// profile has frozen objects (see header comment).
 Status SaveProfile(const FrequencyProfile& profile, const std::string& path);
 
-/// Reads a snapshot; verifies magic, version and checksum.
-Result<FrequencyProfile> LoadProfile(const std::string& path);
+/// Reads a snapshot; verifies magic, version and checksum. The profile's
+/// pages come from `alloc` (null = the footprint-sized default, as for
+/// FrequencyProfile's constructor).
+Result<FrequencyProfile> LoadProfile(const std::string& path,
+                                     cow::PageAllocatorRef alloc = nullptr);
 
 }  // namespace sprofile
 

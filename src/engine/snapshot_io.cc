@@ -253,8 +253,15 @@ StatusOr<ShardedProfiler> LoadAll(const std::string& dir,
       backends.emplace_back(0u);
       continue;
     }
-    SPROFILE_ASSIGN_OR_RETURN(FrequencyProfile profile,
-                              LoadProfile(dir + "/" + records[s].file));
+    // Each restored shard gets its own arena, exactly as a freshly built
+    // engine's shard does: the default allocator would put small shards
+    // on the process heap, which MemoryStats would then sum once per
+    // shard.
+    SPROFILE_ASSIGN_OR_RETURN(
+        FrequencyProfile profile,
+        LoadProfile(dir + "/" + records[s].file,
+                    internal::MakeEngineArenaAllocator(
+                        ProfileFootprintBytes(records[s].capacity))));
     if (profile.capacity() != records[s].capacity) {
       return Status::Corruption(dir + "/" + records[s].file + ": capacity " +
                                 std::to_string(profile.capacity()) +

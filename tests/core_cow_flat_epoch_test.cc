@@ -6,10 +6,9 @@
 //     and the paged kernel under an adversarial interleave of
 //     Add/Remove/ApplyBatch/Snapshot/snapshot-drop answers exactly like a
 //     deep-copy oracle, and every historical snapshot stays frozen.
-//   - re-flatten correctness: dirty-run merge-back (only the span written
-//     since the fault returns home), growth consolidation, and the pin
-//     witness — including the regression where a re-faulted witness page
-//     retired under the watcher.
+//   - re-flatten correctness: in-place re-tagging when every page is
+//     home, consolidation after faults or growth, and block reclamation
+//     once the pinning snapshots are gone.
 //   - the heap allocator: its blocks hold runs too, so the same epochs
 //     engage on heap pages as on arena pages.
 //
@@ -33,7 +32,6 @@
 #include "core/frequency_profile.h"
 #include "core/page_arena.h"
 #include "sprofile/event.h"
-#include "sprofile/obs/trace_ring.h"
 #include "util/random.h"
 #include "util/sync.h"
 
@@ -73,7 +71,7 @@ TEST(FlatEpochPagedArrayTest, EntersFlatAndSurvivesSnapshotCycle) {
     // Pinned: the flat epoch cannot resume yet.
     EXPECT_FALSE(a.EnsureFlat());
   }
-  // Snapshot retired: re-flatten merges the dirty runs back home.
+  // Snapshot retired: re-flatten consolidates the displaced pages.
   ASSERT_TRUE(a.EnsureFlat());
   EXPECT_EQ(a.DisplacedPageCount(), 0u);
   EXPECT_EQ(a[7], 777u);
@@ -83,38 +81,6 @@ TEST(FlatEpochPagedArrayTest, EntersFlatAndSurvivesSnapshotCycle) {
     ASSERT_EQ(a[i], i * 3) << i;
     ASSERT_EQ(a.flat_data()[i], i * 3) << i;
   }
-}
-
-TEST(FlatEpochPagedArrayTest, FaultCopiesTrackDirtyRuns) {
-  auto alloc = SmallArena();
-  cow::PagedArray<uint64_t> a(alloc, 4096);
-  a.resize(4096);
-  ASSERT_TRUE(a.EnsureFlat());
-  const size_t per_page = a.elems_per_page();
-
-  std::optional<cow::PagedArray<uint64_t>> snap(a);
-  // Two writes into a narrow span of page 2: the dirty run is the span,
-  // not the page.
-  const size_t base = 2 * per_page;
-  a.Mutable(base + 10) = 1;
-  a.Mutable(base + 13) = 2;
-  const auto [lo, hi] = a.DirtyRunForTest(2);
-  EXPECT_EQ(lo, 10u);
-  EXPECT_EQ(hi, 13u);
-  // A spread of writes covering >= half the page self-disables tracking:
-  // the run widens to the whole page (re-flatten then copies it all).
-  a.Mutable(base) = 3;
-  a.Mutable(base + per_page - 1) = 4;
-  const auto [lo2, hi2] = a.DirtyRunForTest(2);
-  EXPECT_EQ(lo2, 0u);
-  EXPECT_EQ(hi2, per_page - 1);
-
-  snap.reset();
-  ASSERT_TRUE(a.EnsureFlat());
-  EXPECT_EQ(a[base + 10], 1u);
-  EXPECT_EQ(a[base + 13], 2u);
-  EXPECT_EQ(a[base], 3u);
-  EXPECT_EQ(a[base + per_page - 1], 4u);
 }
 
 TEST(FlatEpochPagedArrayTest, GrowthPastRunConsolidates) {
@@ -138,55 +104,6 @@ TEST(FlatEpochPagedArrayTest, GrowthPastRunConsolidates) {
   a.push_back(4096u);
   EXPECT_TRUE(a.flat());
   EXPECT_EQ(a.flat_data(), base);
-}
-
-// Regression (found by the arena torture test): the pin witness used to
-// hold a raw ctrl pointer of a CURRENT standalone page; re-faulting that
-// page and retiring its snapshots freed the block (and could unmap its
-// arena) under the watcher, and the next probe read freed memory. The
-// witness now pins a page reference for exactly this chain.
-TEST(FlatEpochPagedArrayTest, WitnessSurvivesRefaultAndRetire) {
-  auto alloc = SmallArena();
-  cow::PagedArray<uint64_t> a(alloc, 2048);
-  a.resize(2048);
-  ASSERT_TRUE(a.EnsureFlat());
-
-  auto snap1 = std::make_optional<cow::PagedArray<uint64_t>>(a);
-  a.Mutable(5) = 1;                  // fault #1 -> standalone s1
-  EXPECT_FALSE(a.EnsureFlat());      // witness lands on a pinned ctrl
-  auto snap2 = std::make_optional<cow::PagedArray<uint64_t>>(a);  // shares s1
-  a.Mutable(5) = 2;                  // re-fault -> s2, owner drops s1
-  snap1.reset();
-  snap2.reset();                     // s1's last ref (bar the pin) gone
-  // The probe below touches the witnessed ctrl: with the pin it is alive;
-  // without it this was a use-after-free (SEGV under arena reclaim).
-  ASSERT_TRUE(a.EnsureFlat());
-  EXPECT_EQ(a[5], 2u);
-  EXPECT_EQ(a.DisplacedPageCount(), 0u);
-}
-
-// Regression (code review): a HOME witness watches a displaced page's run
-// slot until its refcount drains to 0. If the array shrank, the snapshot
-// died, and growth re-seated a live page into that exact slot, the
-// witness froze at refs == 1 forever and every later EnsureFlat failed at
-// the poll — a silent, permanent fall-back to the paged slow path.
-// AppendPage now clears a witness it re-arms over.
-TEST(FlatEpochPagedArrayTest, HomeWitnessClearedWhenSlotIsReused) {
-  auto alloc = SmallArena();
-  cow::PagedArray<uint64_t> a(alloc, 1024);
-  a.resize(1024);
-  ASSERT_TRUE(a.EnsureFlat());
-  auto snap = std::make_optional<cow::PagedArray<uint64_t>>(a);
-  // Displace every page: all current pages exclusive, all home slots
-  // still pinned by the snapshot -> EnsureFlat arms a HOME witness.
-  for (size_t i = 0; i < a.size(); i += a.elems_per_page()) a.Mutable(i) = 1;
-  EXPECT_FALSE(a.EnsureFlat());
-  a.resize(0);   // drop every displaced page
-  snap.reset();  // home slots drain to refs == 0
-  a.resize(1024);  // growth re-seats live pages into the watched slots
-  EXPECT_TRUE(a.EnsureFlat())
-      << "stale home witness must not wedge the flat epoch";
-  EXPECT_TRUE(a.flat());
 }
 
 // Regression (code review): a snapshot holding the LAST reference to a
@@ -256,87 +173,6 @@ TEST(FlatEpochPagedArrayTest, ShrinkBackIntoRunRepairsInPlace) {
   for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], i) << i;
 }
 
-// Regression (code review): EnsureFlat's empty-array early return used to
-// skip witness cleanup. A witness armed while pages were shared, followed
-// by resize(0), left its pinned page block (and potentially that block's
-// whole arena) alive for the rest of the array's life — with flat_ true
-// the stale pin was never polled again.
-TEST(FlatEpochPagedArrayTest, EnsureFlatOnEmptiedArrayReleasesWitnessPin) {
-  auto alloc = SmallArena();
-  cow::PagedArray<uint64_t> a(alloc, 1024);
-  a.resize(1024);
-  ASSERT_TRUE(a.EnsureFlat());
-  auto snap1 = std::make_optional<cow::PagedArray<uint64_t>>(a);
-  a.Mutable(0) = 1;  // fault page 0 -> standalone copy
-  auto snap2 = std::make_optional<cow::PagedArray<uint64_t>>(a);
-  EXPECT_FALSE(a.EnsureFlat());  // witness pins the shared standalone ctrl
-  snap2.reset();
-  a.resize(0);
-  snap1.reset();
-  ASSERT_TRUE(a.EnsureFlat());  // empty: must release the stale pin
-  // Only the anchored home-run block may remain live; with the leak the
-  // pinned standalone page block survived too.
-  EXPECT_EQ(alloc->Stats().pages_live(), 1u);
-}
-
-// Regression (the PR 6 Release-only flake in
-// ArenaReclaimTortureTest.ConcurrentSnapshotDropsReclaimSafely,
-// pages_live 15 vs 14): a PINNED page witness armed on a shared
-// standalone page inflates that block's refcount by one. When the owner
-// later faults the page away, the pin used to stay armed — and the only
-// thing that ever drops a pin is a future EnsureFlat poll, which a
-// quiescent array never runs. Once the snapshots died, the pin alone
-// kept the orphaned block (and potentially its whole arena) alive for
-// the array's lifetime. EnsureWritable/FaultPage/resize now lift the pin
-// before the watched block leaves the page table. The lifecycle trace
-// ring (obs/trace_ring.h) is what made the leak's event order visible
-// without a Release debugger: fault(0) -> witness pin -> fault(0) again
-// with no intervening re-flatten poll.
-TEST(FlatEpochPagedArrayTest, WitnessPinReleasedWhenWatchedPageFaultsAway) {
-  auto alloc = SmallArena();
-  obs::TraceRing ring(64);
-  obs::ScopedTraceRing scope(&ring, /*shard=*/7);
-
-  cow::PagedArray<uint64_t> a(alloc, 1024);
-  a.resize(1024);
-  ASSERT_TRUE(a.EnsureFlat());
-
-  auto snap1 = std::make_optional<cow::PagedArray<uint64_t>>(a);
-  a.Mutable(0) = 1;  // fault #1: page 0 -> standalone block s1
-  // snap2 shares s1, so the next probe finds page 0 at refs == 2 and
-  // arms the PINNED page witness on s1 (refs -> 3).
-  auto snap2 = std::make_optional<cow::PagedArray<uint64_t>>(a);
-  EXPECT_FALSE(a.EnsureFlat());
-  // fault #2: the owner writes the watched page again. The pin must lift
-  // here — after this, s1 is out of the table and no poll will ever run.
-  a.Mutable(0) = 2;
-  snap1.reset();
-  snap2.reset();  // s1's last snapshot reference gone
-
-  // No EnsureFlat between the re-fault and this check, on purpose: the
-  // leak only showed on arrays that went quiescent. Live blocks must be
-  // exactly the anchored home run + the current standalone page 0; with
-  // the stale pin, s1 survived as a third.
-  EXPECT_EQ(alloc->Stats().pages_live(), 2u)
-      << "stale witness pin leaked the faulted-away block";
-  EXPECT_EQ(a[0], 2u);
-
-  // The trace ring saw both faults of page 0, tagged with our scope id.
-  int faults_page0 = 0;
-  for (const obs::TraceRecord& r : ring.Dump()) {
-    if (r.event == obs::TraceEvent::kCowFault && r.arg == 0) {
-      EXPECT_EQ(r.shard, 7u);
-      ++faults_page0;
-    }
-  }
-  EXPECT_EQ(faults_page0, 2);
-
-  // And the epoch is still reachable afterwards.
-  ASSERT_TRUE(a.EnsureFlat());
-  EXPECT_EQ(alloc->Stats().pages_live(), 1u);
-  EXPECT_EQ(a[0], 2u);
-}
-
 TEST(FlatEpochPagedArrayTest, HeapAllocatorRunsTheSameEpochs) {
   // A heap block holds a run as well as an arena carve does: the array
   // is born flat in one block, a snapshot ends the epoch, and dropping
@@ -353,10 +189,20 @@ TEST(FlatEpochPagedArrayTest, HeapAllocatorRunsTheSameEpochs) {
     EXPECT_EQ(snap[3], 3u);
     EXPECT_EQ(a[3], 999u);
     EXPECT_FALSE(a.EnsureFlat()) << "the snapshot still pins page 0";
+    // A second snapshot shares the fault copy; the owner then re-faults
+    // the same page, leaving that copy to the second snapshot alone.
+    const cow::PagedArray<uint64_t> snap2 = a;
+    a.Mutable(3) = 1000;
+    EXPECT_EQ(snap2[3], 999u);
   }
+  // Quiescent, no probe since the snapshots dropped: exactly the home run
+  // and the current fault copy of page 0 are live.
+  EXPECT_EQ(alloc->Stats().pages_live(), 2u);
   ASSERT_TRUE(a.EnsureFlat());
-  EXPECT_EQ(a.flat_data()[3], 999u);
+  EXPECT_EQ(a.flat_data()[3], 1000u);
   EXPECT_EQ(a.DisplacedPageCount(), 0u);
+  // Back to baseline: one run holds the whole array.
+  EXPECT_EQ(alloc->Stats().pages_live(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,9 +364,9 @@ TEST(FlatEpochProfilePropertyTest, PeelAndInsertInterleaveStaysConsistent) {
 
 // ---------------------------------------------------------------------------
 // The TSan shape: readers grab, hold, and drop snapshots concurrently
-// while the owner churns and keeps probing the flat epoch. Exercises the
-// witness pin, dirty-run merge-back, and home-slot reuse against
-// concurrent reader-side page releases.
+// while the owner churns and keeps probing the flat epoch. Exercises
+// blocked probes, consolidation (forced and not) and home-slot reuse
+// against concurrent reader-side page releases.
 // ---------------------------------------------------------------------------
 
 TEST(FlatEpochConcurrentTest, ReflattenRacesSnapshotDrops) {
@@ -564,7 +410,7 @@ TEST(FlatEpochConcurrentTest, ReflattenRacesSnapshotDrops) {
         p.Remove(id);
       }
     }
-    p.TryReflatten();  // often blocked by `published`; witness-polled
+    p.TryReflatten();  // often blocked by `published` at its first page
     auto snap = std::make_shared<const FrequencyProfile>(p.Snapshot());
     {
       sprofile::MutexLock lock(mu);

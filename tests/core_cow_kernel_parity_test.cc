@@ -18,7 +18,8 @@
 //   - FORCED REFLATTEN: a long-lived snapshot pins pages the gentle
 //     EnsureFlat probe can never reclaim; after kForceReflattenUpdates
 //     paged updates the profile must force its way back to the flat epoch
-//     (cow::PagedArray::ForceFlat) without perturbing the snapshot.
+//     (cow::PagedArray::ForceFlat) without perturbing the snapshot, by
+//     copying the pinned pages into fresh runs rather than faulting them.
 //
 // The file name carries both "core" and "cow" on purpose: the ASan CI leg
 // runs -R "engine|core", the TSan leg -R "engine|cow|arena" — this suite
@@ -268,10 +269,13 @@ TEST(KernelParityForceFlatTest, PagedArrayForceFlatEvictsPinnedSnapshot) {
   a.Mutable(11) = 1111;
   ASSERT_FALSE(a.EnsureFlat()) << "gentle probe must stay pinned";
 
-  // Forced divergence: every still-shared page faults to a private copy,
-  // then consolidates into a fresh run the snapshot has no claim on.
+  // Forced divergence: consolidate straight into a fresh run the snapshot
+  // has no claim on, reading still-shared pages in place — no COW fault.
+  const uint64_t faults = alloc->Stats().cow_faults;
   ASSERT_TRUE(a.ForceFlat());
   ASSERT_TRUE(a.flat());
+  EXPECT_EQ(alloc->Stats().cow_faults, faults)
+      << "ForceFlat must not fault pages it is about to copy again";
   EXPECT_EQ(a[11], 1111u);
   for (size_t i = 0; i < a.size(); i += 37) {
     if (i == 11) continue;
@@ -342,6 +346,34 @@ TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {
   EXPECT_EQ(p.ToFrequencies(), oracle);
   EXPECT_EQ(snap.ToFrequencies(), snap_expected)
       << "forced divergence leaked into a held snapshot";
+
+  // Pin again, then exactly kForceReflattenUpdates paged singles on a few
+  // ids, so most pages stay shared. Each periodic probe sees at most
+  // kForceReflattenUpdates - 1 paged updates, so the explicit probe below
+  // is the forcing call: it must consolidate without one COW fault.
+  const FrequencyProfile snap2 = p.Snapshot();
+  const std::vector<int64_t> snap2_expected = oracle;
+  for (uint32_t i = 0; i < FrequencyProfile::kForceReflattenUpdates; ++i) {
+    const uint32_t id = rng.NextBounded(8);
+    if (i % 3 == 2) {
+      p.Remove(id);
+      --oracle[id];
+    } else {
+      p.Add(id);
+      ++oracle[id];
+    }
+  }
+  ASSERT_FALSE(p.storage_flat());
+  ASSERT_GT(p.page_allocator()->Stats().cow_faults, 0u);
+  const uint64_t faults = p.page_allocator()->Stats().cow_faults;
+  ASSERT_TRUE(p.TryReflatten());
+  EXPECT_EQ(p.page_allocator()->Stats().cow_faults, faults)
+      << "the forcing call faulted pages it then copied again";
+  ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
+  EXPECT_EQ(p.ToFrequencies(), oracle);
+  EXPECT_EQ(snap2.ToFrequencies(), snap2_expected)
+      << "forced consolidation leaked into a held snapshot";
+  EXPECT_EQ(snap.ToFrequencies(), snap_expected);
 }
 
 TEST(KernelParityForceFlatTest, ForcedEpochMatchesOracle) {

@@ -440,8 +440,8 @@ TEST(ArenaReclaimTortureTest, RotatingSnapshotsDoNotPinArenasForever) {
 
   pinned.clear();
   // With every snapshot retired, the profile can re-enter its flat epoch:
-  // displaced fault copies merge back into the home runs (dirty runs
-  // only) and their standalone blocks come home to the allocator.
+  // displaced fault copies are consolidated into fresh runs and their
+  // standalone blocks come home to the allocator.
   EXPECT_TRUE(p.TryReflatten());
   EXPECT_TRUE(p.storage_flat());
   const PageAllocStats end = alloc->Stats();

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/frequency_profile.h"
 #include "core/page_arena.h"
 #include "sprofile/sprofile.h"
 #include "stream/log_stream.h"
@@ -462,6 +463,29 @@ TEST_F(EngineSnapshotTest, TamperedShardFileFailsItsChecksum) {
   }
   EXPECT_EQ(LoadAll(dir, SmallOptions(1)).status().code(),
             StatusCode::kCorruption);
+}
+
+TEST_F(EngineSnapshotTest, RestoredShardsOwnTheirArenas) {
+  // A restored shard owns its arena, like a freshly built one: on the
+  // shared process heap, MemoryStats would sum the whole heap once per
+  // shard and move with any unrelated heap-backed profile.
+  ShardedProfiler engine(100, SmallOptions(2));
+  for (uint32_t i = 0; i < 100; ++i) engine.Add(i % 13);
+  const std::string dir = TempDir("restored_arenas");
+  ASSERT_TRUE(SaveAll(engine, dir).ok());
+
+  auto loaded = LoadAll(dir, SmallOptions(1));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ShardedProfiler& restored = *loaded;
+  const EngineMemoryStats before = restored.MemoryStats();
+  EXPECT_EQ(before.shards_reporting, 2u);
+  EXPECT_GE(before.totals.arenas_created, 2u);
+
+  const FrequencyProfile unrelated(1000);
+  ASSERT_EQ(unrelated.page_allocator(), cow::GlobalHeapPageAllocator())
+      << "the probe needs a heap-backed profile";
+  EXPECT_EQ(restored.MemoryStats().totals.pages_live(),
+            before.totals.pages_live());
 }
 
 // ---------------------------------------------------------------------

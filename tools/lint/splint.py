@@ -21,7 +21,8 @@ checks (see tools/lint/README.md for the rationale behind each rule):
                       storage layers
   metric-docs         every metric registered through the
                       SPROFILE_METRIC_* macros / AddCallbackGauge has a
-                      catalog row in docs/OBSERVABILITY.md
+                      catalog row in docs/OBSERVABILITY.md, and every
+                      catalog row names a metric still registered
   failpoint-docs      every SPROFILE_FAILPOINT injection site in the
                       library (src/, include/) has a catalog row in
                       docs/ROBUSTNESS.md — chaos tests arm points by
@@ -108,6 +109,15 @@ METRIC_NAME_RES = (
     re.compile(r'AddCallbackGauge\(\s*"([^"]+)"'),
     re.compile(r'\{"(sprofile_[a-z0-9_]+)",\s*"'),
 )
+# A catalog row of a metric (the trace-event table shares the row shape
+# but not the prefix).
+METRIC_ROW_RE = re.compile(r"^\|\s*`(sprofile_[a-z0-9_]+)`", re.M)
+
+# Fixture files a rule's selftest must flag, beyond "fires at all": rules
+# that check in two directions prove each one.
+SELFTEST_MUST_FLAG = {
+    "metric-docs": ("src/rogue_metrics.cc", METRIC_DOCS_PATH),
+}
 # failpoint-docs: injection sites live in the library only — tests and
 # examples arm existing points (or registry-only names) and need no
 # catalog entry.
@@ -450,6 +460,16 @@ def rule_metric_docs(root):
             f"metric '{name}' has no catalog row in {METRIC_DOCS_PATH} "
             "(a markdown table row starting with | `" + name + "` |) — "
             "every exported metric must be documented"))
+    registered = {name for _, _, name in registrations}
+    for m in METRIC_ROW_RE.finditer(docs):
+        if m.group(1) in registered:
+            continue
+        violations.append(Violation(
+            METRIC_DOCS_PATH, docs.count("\n", 0, m.start()) + 1,
+            "metric-docs",
+            f"catalog row '{m.group(1)}' names a metric registered nowhere "
+            f"under {', '.join(METRIC_SCAN_DIRS)} — delete the row with "
+            "the metric"))
     return violations
 
 
@@ -599,6 +619,12 @@ def selftest():
                 failures.append(
                     f"{name}: rule fired on the fixture's CLEAN file "
                     f"({v}) — the rule over-matches")
+        flagged = {v.path for v in found}
+        for path in SELFTEST_MUST_FLAG.get(name, ()):
+            if path not in flagged:
+                failures.append(
+                    f"{name}: rule did NOT flag the fixture's seeded "
+                    f"violation in {path}")
         print(f"selftest ok: {name} fired {len(found)}x on its fixture")
     if failures:
         for f in failures:
